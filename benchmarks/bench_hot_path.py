@@ -48,7 +48,7 @@ ROUNDS = 40
 GAP = 4  # moderate offered load: p ~= 0.25
 HOTSPOT_FRACTION = 0.25
 REPEATS = 5  # best-of, to shave scheduler noise
-KERNELS = ("dense", "event", "batch")
+KERNELS = ("dense", "batch")
 
 #: the batch kernel's design point: synchronized barrier rounds at 1024
 #: PEs (the paper's coordination pattern — every PE fetch-and-adds the

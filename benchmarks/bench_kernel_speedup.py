@@ -1,4 +1,4 @@
-"""Event-kernel speedup on the low-offered-load regime of Figure 7.
+"""Batch-kernel speedup on the low-offered-load regime of Figure 7.
 
 Figure 7's transit-time study lives in the analytic model, but its
 operating regime — many PEs, offered load p well below the network's
@@ -12,7 +12,7 @@ criteria:
 
 * the kernels are **bit-identical** (``RunResult.to_dict()`` compares
   equal) at every load point;
-* the event kernel is at least **3x faster** in simulated cycles per
+* the batch kernel is at least **3x faster** in simulated cycles per
   wall-clock second at the lowest offered load.
 """
 
@@ -47,31 +47,31 @@ def _run(kernel: str, gap: int):
     return result, elapsed
 
 
-def test_event_kernel_speedup_low_load(report):
+def test_batch_kernel_speedup_low_load(report):
     _run("dense", GAPS[0])  # warm both code paths before timing
-    _run("event", GAPS[0])
+    _run("batch", GAPS[0])
 
     lines = [
         banner(f"kernel speedup, Figure 7 low-load regime "
                f"({N_PES} PEs x {ROUNDS} uniform loads)"),
         f"{'gap':>5} {'p':>7} {'cycles':>8} "
-        f"{'dense ms':>9} {'event ms':>9} "
-        f"{'dense cyc/s':>12} {'event cyc/s':>12} {'speedup':>8}",
+        f"{'dense ms':>9} {'batch ms':>9} "
+        f"{'dense cyc/s':>12} {'batch cyc/s':>12} {'speedup':>8}",
     ]
     speedups: dict[int, float] = {}
     for gap in GAPS:
         dense_result, dense_s = _run("dense", gap)
-        event_result, event_s = _run("event", gap)
-        assert dense_result.to_dict() == event_result.to_dict(), (
-            f"kernels diverged at gap={gap}; the event kernel must be "
+        batch_result, batch_s = _run("batch", gap)
+        assert dense_result.to_dict() == batch_result.to_dict(), (
+            f"kernels diverged at gap={gap}; the batch kernel must be "
             "observationally invisible"
         )
         cycles = dense_result.cycles
-        speedups[gap] = dense_s / event_s
+        speedups[gap] = dense_s / batch_s
         lines.append(
             f"{gap:>5} {1 / gap:>7.4f} {cycles:>8} "
-            f"{dense_s * 1e3:>9.1f} {event_s * 1e3:>9.1f} "
-            f"{cycles / dense_s:>12.0f} {cycles / event_s:>12.0f} "
+            f"{dense_s * 1e3:>9.1f} {batch_s * 1e3:>9.1f} "
+            f"{cycles / dense_s:>12.0f} {cycles / batch_s:>12.0f} "
             f"{speedups[gap]:>7.1f}x"
         )
     lines.append(
@@ -81,6 +81,6 @@ def test_event_kernel_speedup_low_load(report):
     report("\n".join(lines))
 
     assert speedups[GAPS[-1]] >= 3.0, (
-        f"event kernel is only {speedups[GAPS[-1]]:.2f}x faster than dense "
-        f"at gap={GAPS[-1]}; the wake-list machinery has regressed"
+        f"batch kernel is only {speedups[GAPS[-1]]:.2f}x faster than dense "
+        f"at gap={GAPS[-1]}; its quiet-cycle fast-forward has regressed"
     )

@@ -80,10 +80,15 @@ def _add_seed_flag(sub: argparse.ArgumentParser, default: int = 0) -> None:
 def _add_kernel_flag(sub: argparse.ArgumentParser) -> None:
     from repro.core.scheduler import kernel_names
 
-    sub.add_argument("--kernel", choices=kernel_names(), default="dense",
-                     help="simulation kernel (all are bit-identical; "
-                          "'batch' needs numpy and pays off at 1024+ PEs) "
-                          "[default: dense]")
+    sub.add_argument("--kernel", choices=kernel_names(), default=None,
+                     help="simulation kernel (all are bit-identical) "
+                          "[default: the experiment's own]")
+
+
+def _kernel_kwargs(args: argparse.Namespace) -> dict[str, str]:
+    """``{"kernel": ...}`` when ``--kernel`` was given, else nothing, so
+    the spec or point function's own default kernel decides."""
+    return {} if args.kernel is None else {"kernel": args.kernel}
 
 
 def _make_runner(args: argparse.Namespace):
@@ -178,7 +183,7 @@ def _cmd_demo(args: argparse.Namespace) -> int:
 
     payload = execute("machine.demo",
                       {"pes": args.pes, "tickets": 4, "seed": args.seed,
-                       "kernel": args.kernel})
+                       **_kernel_kwargs(args)})
     if args.json:
         return _emit_envelope("demo", payload)
     print(f"{args.pes} PEs each claimed 4 tickets from one shared counter")
@@ -201,15 +206,15 @@ def _cmd_fig7(args: argparse.Namespace) -> int:
         pes = args.pes if args.pes is not None else 4096
         cycles = args.cycles if args.cycles is not None else 200
         spec = figure7_simulated_spec(
-            pes=pes, rates=rates, cycles=cycles,
-            kernel=args.kernel, seed=args.seed,
+            pes=pes, rates=rates, cycles=cycles, seed=args.seed,
+            **_kernel_kwargs(args),
         )
         result = _make_runner(args).run(spec)
         points = result.payloads
         if args.json:
             return _emit_envelope("fig7", points, spec=spec, sweep=result)
         print(f"Figure 7 simulated points ({pes} PEs, "
-              f"kernel={args.kernel}, {cycles} offered cycles):")
+              f"kernel={dict(spec.base)['kernel']}, {cycles} offered cycles):")
         print(f"  {'p':>6} {'issued':>8} {'mean rtt':>9} {'max':>5} "
               f"{'analytic transit':>16}")
         for point in points:
@@ -263,7 +268,7 @@ def _fig7_cross_topology(args: argparse.Namespace) -> int:
     cycles = args.cycles if args.cycles is not None else 600
     spec = figure7_cross_topology_spec(
         topologies=topologies, pes=pes, rates=rates,
-        cycles=cycles, kernel=args.kernel, seed=args.seed,
+        cycles=cycles, seed=args.seed, **_kernel_kwargs(args),
     )
     result = _make_runner(args).run(spec)
     points = result.payloads
@@ -272,8 +277,8 @@ def _fig7_cross_topology(args: argparse.Namespace) -> int:
 
     from repro.reporting import Series, ascii_plot, format_table
 
-    print(f"Figure 7 across fabrics ({pes} PEs, kernel={args.kernel}, "
-          f"{cycles} offered cycles):")
+    print(f"Figure 7 across fabrics ({pes} PEs, "
+          f"kernel={dict(spec.base)['kernel']}, {cycles} offered cycles):")
     rows = []
     for point in points:
         predicted = point["predicted_round_trip"]
@@ -399,7 +404,7 @@ def _cmd_packaging(args: argparse.Namespace) -> int:
 def _cmd_hotspot(args: argparse.Namespace) -> int:
     from repro.exp import hotspot_spec
 
-    spec = hotspot_spec(pes=args.pes, seed=args.seed, kernel=args.kernel)
+    spec = hotspot_spec(pes=args.pes, seed=args.seed, **_kernel_kwargs(args))
     result = _make_runner(args).run(spec)
     # Axis order in the spec is (combining=True, combining=False).
     on, off = result.payloads
@@ -454,7 +459,7 @@ def _run_hot_spot(pes: int, *, rounds: int = 4, trace_capacity: int = 0,
 def _cmd_stats(args: argparse.Namespace) -> int:
     stats = _run_hot_spot(
         args.pes, rounds=args.rounds, seed=args.seed,
-        trace_capacity=args.trace_capacity, kernel=args.kernel,
+        trace_capacity=args.trace_capacity, **_kernel_kwargs(args),
     )
     if args.json:
         return _emit_envelope("stats", stats.to_dict())
@@ -615,7 +620,9 @@ def _cmd_profile(args: argparse.Namespace) -> int:
             else:
                 yield Load(rng.randrange(0, 64 * args.pes))
 
-    machine = Ultracomputer(MachineConfig(n_pes=args.pes, kernel=args.kernel))
+    machine = Ultracomputer(
+        MachineConfig(n_pes=args.pes, **_kernel_kwargs(args))
+    )
     machine.spawn_many(args.pes, program)
     profiler = cProfile.Profile()
     profiler.enable()
@@ -644,7 +651,7 @@ def _cmd_profile(args: argparse.Namespace) -> int:
             "profile",
             {"hotspots": rows},
             extra={
-                "kernel": args.kernel,
+                "kernel": machine.config.kernel,
                 "pes": args.pes,
                 "rounds": args.rounds,
                 "gap": args.gap,
@@ -655,7 +662,7 @@ def _cmd_profile(args: argparse.Namespace) -> int:
                 "sort": args.sort,
             },
         )
-    print(f"profiled {result.cycles} cycles ({args.kernel} kernel, "
+    print(f"profiled {result.cycles} cycles ({machine.config.kernel} kernel, "
           f"{args.pes} PEs x {args.rounds} refs, gap {args.gap}) in "
           f"{total_time:.3f}s")
     print(f"top {len(rows)} functions by {args.sort}:")

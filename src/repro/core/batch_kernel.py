@@ -2,21 +2,22 @@
 
 The paper's design point is a 4096-PE machine behind a 12-stage Omega
 network — roughly 25k switches, 100k queues.  The dense kernel ticks
-every one of them every cycle and the event kernel still pays per-object
-Python costs for each awake component; neither reaches that scale.  This
+every one of them every cycle and does not reach that scale.  This
 kernel gets there by splitting each cycle into a *schedule* computed on
 numpy arrays and a *per-message* part executed on the ordinary switch
-objects:
+objects.  It runs every registered topology: the wiring comes from the
+network's resolved ``Topology.forward_target``/``return_target``
+tables, so the hypercube and mesh share the kernel with Omega.
 
 * **Struct-of-arrays schedule.**  For every (direction, stage) the
   kernel mirrors the only two facts that decide whether a (switch, port)
   can transmit — queue length and output-link ``busy_until`` — into
-  ``(switches_per_stage, k)`` arrays.  One vectorized mask per stage
-  (``qlen > 0 & busy <= cycle``) finds every transmitting port; its
-  ``flatnonzero`` order is row-major (switch ascending, port ascending),
-  exactly the dense kernel's nested sweep, so offer order — who wins the
-  last slot of a filling queue, which trace event lands first — is
-  preserved bit for bit.
+  ``(switches_per_stage, switch_arity)`` arrays.  One vectorized mask
+  per stage (``qlen > 0 & busy <= cycle``) finds every transmitting
+  port; its ``flatnonzero`` order is row-major (switch ascending, port
+  ascending), exactly the dense kernel's nested sweep, so offer order —
+  who wins the last slot of a filling queue, which trace event lands
+  first — is preserved bit for bit.
 * **Object-level message semantics.**  Each scheduled head is then moved
   through the *same* ``Switch.offer_forward`` / ``offer_return`` calls
   the dense kernel uses, so combining, decombining, wait-buffer records,
@@ -30,20 +31,19 @@ objects:
   only while non-empty, and the built-in :class:`ProgramDriver` is run
   through a vectorized shim that keeps per-PE state/compute/idle
   counters in arrays and touches PE objects only on the cycles they act.
-* **Quiet-cycle fast-forward.**  Reused from the event kernel: when no
-  component can act now, jump to the earliest future event and apply the
-  skipped cycles' counters in closed form.
+* **Quiet-cycle fast-forward.**  When no component can act now, ask
+  each stateful component for the earliest cycle it could
+  (``next_event_cycle``), jump there, and apply the skipped cycles'
+  counters in closed form (``fast_forward``): waiting PEs gain
+  ``idle_cycles``, computing PEs burn ``compute_remaining``, busy MNIs
+  gain ``busy_cycles``.
 
 The contract is the registry-wide one (see :mod:`repro.core.scheduler`):
 ``RunResult.to_dict()`` — including per-PE stats, instrumentation
 snapshot, and the cycle trace — must be bit-identical to the dense
 kernel for any workload; ``tests/integration/test_kernel_equivalence.py``
-sweeps the differential grid over all three kernels.
-
-Requires numpy (the optional ``repro[batch]`` extra); constructing the
-kernel without it raises an actionable error, while the kernel *name*
-stays registered so config validation and CLI listings never need the
-import.
+and ``tests/integration/test_topology_equivalence.py`` sweep the
+differential grid on every fabric.
 """
 
 from __future__ import annotations
@@ -51,11 +51,13 @@ from __future__ import annotations
 import heapq
 from typing import TYPE_CHECKING, Any, Optional
 
+import numpy as np
+
 from .scheduler import DenseKernel
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard
     from ..network.message import Message
-    from ..network.omega import OmegaNetwork
+    from ..network.multistage import MultistageNetwork
     from .machine import ProgramDriver, Ultracomputer, _ProgramPE
     from .results import RunResult
 
@@ -71,22 +73,24 @@ class _CopyState:
     """Array mirror of one network copy's schedulable state.
 
     Holds, per (direction, stage), the queue-length and link-busy
-    arrays, the per-stage resident-message totals, and the static wiring
-    tables (flattened to ``switch * k + port`` so the hot loop indexes
-    plain Python lists).  The wiring between consecutive stages is the
-    same perfect shuffle everywhere, so one table serves all stages.
+    arrays and the per-stage resident-message totals.  The wiring is the
+    network's resolved target tables (flat-indexed by
+    ``switch * arity + port``, so the hot loop indexes plain tuples);
+    whether a port ejects to memory, delivers to a PE, or feeds the
+    neighbouring stage is read per port from its target, so any
+    :class:`~repro.network.topology.Topology` runs here — direct fabrics
+    eject at the stage equal to each route's hop distance.
     """
 
-    def __init__(self, np_mod: Any, network: "OmegaNetwork", kernel: "BatchKernel"):
-        self._np = np_mod
+    def __init__(self, network: "MultistageNetwork", kernel: "BatchKernel"):
         self.network = network
         self.kernel = kernel
         topo = network.topology
-        self.k = topo.k
+        self.topology = topo
+        self.k = topo.switch_arity
         self.D = topo.stages
         self.S = topo.switches_per_stage
         self.rows = network.stages
-        np = np_mod
         shape = (self.S, self.k)
         self.fwd_len = [np.zeros(shape, dtype=np.int32) for _ in range(self.D)]
         self.fwd_busy = [np.zeros(shape, dtype=np.int64) for _ in range(self.D)]
@@ -94,17 +98,12 @@ class _CopyState:
         self.ret_busy = [np.zeros(shape, dtype=np.int64) for _ in range(self.D)]
         self.fwd_tot = [0] * self.D
         self.ret_tot = [0] * self.D
-        # Static wiring, flat-indexed by f = switch * k + port:
-        # PE -> (stage-0 switch, in_port) for injections;
-        # stage s output f -> (stage s+1 switch, in_port) forward;
-        # stage s output f -> (stage s-1 switch, mm_port) return;
-        # stage 0 output f -> PE line for reply delivery.
-        self.entry = [topo.stage_input(pe) for pe in range(topo.n_ports)]
-        self.fwd_next = [topo.stage_input(f) for f in range(topo.n_ports)]
-        self.ret_prev = [
-            divmod(topo.unshuffle(f), self.k) for f in range(topo.n_ports)
-        ]
-        self.pe_line = [topo.unshuffle(f) for f in range(topo.n_ports)]
+        # Static wiring: PE -> (stage-0 switch, in_port) for injections;
+        # per stage, output f -> ("mm", line) / ("switch", next, in_port)
+        # forward and ("pe", line) / ("switch", prev, mm_port) return.
+        self.entry = [topo.inject_point(pe) for pe in range(topo.n_ports)]
+        self.fwd_targets = network.forward_targets
+        self.ret_targets = network.return_targets
         self.resync()
 
     # ------------------------------------------------------------------
@@ -143,7 +142,7 @@ class _CopyState:
         return any(self.fwd_tot) or any(self.ret_tot)
 
     # ------------------------------------------------------------------
-    # injections (PNI -> stage 0, MNI -> stage D-1)
+    # injections (PNI -> stage 0, MNI -> the reply-entry stage)
     # ------------------------------------------------------------------
     def inject_request(self, pe: int, message: "Message", cycle: int) -> bool:
         sw_i, in_port = self.entry[pe]
@@ -158,20 +157,19 @@ class _CopyState:
         return False
 
     def inject_reply(self, mm: int, message: "Message", cycle: int) -> bool:
-        last = self.D - 1
-        sw_i, mm_port = divmod(mm, self.k)
-        sw = self.rows[last][sw_i]
+        stage, sw_i, mm_port = self.topology.reply_entry(mm, message.origin)
+        sw = self.rows[stage][sw_i]
         to_pe = sw.to_pe
         before = [len(q._slots) for q in to_pe]
         if sw.offer_return(mm_port, message, cycle):
             added = 0
-            rl = self.ret_len[last]
+            rl = self.ret_len[stage]
             for j in range(self.k):
                 d = len(to_pe[j]._slots) - before[j]
                 if d:
                     rl[sw_i, j] += d
                     added += d
-            self.ret_tot[last] += added
+            self.ret_tot[stage] += added
             return True
         return False
 
@@ -184,10 +182,8 @@ class _CopyState:
         Stages are processed memory side first and the per-stage
         transmit mask is evaluated in row-major (switch, port) order, so
         every offer lands in exactly the dense kernel's sequence."""
-        np = self._np
         k = self.k
         kernel = self.kernel
-        fwd_next = self.fwd_next
         last = self.D - 1
         for stage in range(last, -1, -1):
             if self.fwd_tot[stage] == 0:
@@ -198,8 +194,8 @@ class _CopyState:
             if flat.size == 0:
                 continue
             row = self.rows[stage]
-            at_last = stage == last
-            if not at_last:
+            targets = self.fwd_targets[stage]
+            if stage != last:
                 next_row = self.rows[stage + 1]
                 nlen = self.fwd_len[stage + 1]
                 next_digit = stage + 1
@@ -208,10 +204,13 @@ class _CopyState:
                 sw = row[sw_i]
                 queue = sw.to_mm[port]
                 head = queue._slots[0].message
-                if at_last:
-                    accepted = kernel._mm_sink(f, head)
+                # A None target (unused port) would raise here — a
+                # routing-invariant breach, as the dense wiring reports.
+                wire = targets[f]
+                if wire[0] == "mm":
+                    accepted = kernel._mm_sink(wire[1], head)
                 else:
-                    t_i, t_port = fwd_next[f]
+                    _, t_i, t_port = wire
                     target = next_row[t_i]
                     out_digit = head.digits[next_digit]
                     combines_before = target.stats.combines
@@ -233,11 +232,8 @@ class _CopyState:
 
     def step_return(self, cycle: int) -> None:
         """Move replies one hop toward the PEs (dense phase 4)."""
-        np = self._np
         k = self.k
         kernel = self.kernel
-        ret_prev = self.ret_prev
-        pe_line = self.pe_line
         for stage in range(self.D):
             if self.ret_tot[stage] == 0:
                 continue
@@ -247,8 +243,8 @@ class _CopyState:
             if flat.size == 0:
                 continue
             row = self.rows[stage]
-            at_first = stage == 0
-            if not at_first:
+            targets = self.ret_targets[stage]
+            if stage != 0:
                 prev_row = self.rows[stage - 1]
                 plen = self.ret_len[stage - 1]
             for f in flat.tolist():
@@ -256,10 +252,11 @@ class _CopyState:
                 sw = row[sw_i]
                 queue = sw.to_pe[port]
                 head = queue._slots[0].message
-                if at_first:
-                    accepted = kernel._pe_sink(pe_line[f], head)
+                wire = targets[f]
+                if wire[0] == "pe":
+                    accepted = kernel._pe_sink(wire[1], head)
                 else:
-                    p_i, mm_port = ret_prev[f]
+                    _, p_i, mm_port = wire
                     target = prev_row[p_i]
                     to_pe = target.to_pe
                     before = [len(q._slots) for q in to_pe]
@@ -301,10 +298,9 @@ class _VectorPrograms:
     anything reads per-PE statistics.
     """
 
-    def __init__(self, kernel: "BatchKernel", driver: "ProgramDriver", np_mod: Any):
+    def __init__(self, kernel: "BatchKernel", driver: "ProgramDriver"):
         self.kernel = kernel
         self.driver = driver
-        self._np = np_mod
         self.n = -1
         self.rebuild()
 
@@ -313,7 +309,6 @@ class _VectorPrograms:
         and whenever PEs were spawned since the last build."""
         if self.n >= 0:
             self.flush()
-        np = self._np
         pes = self.driver.pes
         self.n = len(pes)
         self.state = np.full(self.n, _FRESH, dtype=np.int8)
@@ -344,7 +339,6 @@ class _VectorPrograms:
         """Write accumulated array counters back to the PE objects."""
         if self.n <= 0:
             return
-        np = self._np
         pes = self.driver.pes
         dirty = np.flatnonzero(self.idle)
         for i in dirty.tolist():
@@ -383,7 +377,6 @@ class _VectorPrograms:
             self.rebuild()
         if self.running == 0:
             return
-        np = self._np
         driver = self.driver
         pes = driver.pes
         state0 = self.state.copy()
@@ -482,15 +475,7 @@ class BatchKernel(DenseKernel):
     name = "batch"
 
     def __init__(self, machine: "Ultracomputer") -> None:
-        try:
-            import numpy
-        except ImportError:  # pragma: no cover - numpy is a test dep here
-            raise RuntimeError(
-                "kernel 'batch' requires numpy; install the optional extra "
-                "(pip install 'repro[batch]') or use kernel='dense'/'event'"
-            ) from None
         super().__init__(machine)
-        self._np = numpy
         self._built = False
         self._states: list[_CopyState] = []
         self._vpes: Optional[_VectorPrograms] = None
@@ -505,14 +490,14 @@ class BatchKernel(DenseKernel):
     def _ensure_state(self) -> None:
         m = self.machine
         if not self._built:
-            self._states = [_CopyState(self._np, net, self) for net in m.networks]
-            self._vpes = _VectorPrograms(self, m.programs, self._np)
+            self._states = [_CopyState(net, self) for net in m.networks]
+            self._vpes = _VectorPrograms(self, m.programs)
             self._built = True
         # Solo mode: the built-in ProgramDriver is the only driver, so
         # the kernel sees every PNI issue and can keep a precise
         # outbound set.  Custom drivers touch PNIs behind the kernel's
         # back; then phase 3 falls back to scanning (still skipping
-        # empty PNIs, which is the event kernel's exact behavior).
+        # empty PNIs, whose tick would be a no-op).
         self._solo = len(m.drivers) == 1 and m.drivers[0] is m.programs
 
     def _flush(self) -> None:
@@ -612,7 +597,7 @@ class BatchKernel(DenseKernel):
         self._flush()
 
     # ------------------------------------------------------------------
-    # event horizon (the event kernel's logic over the active sets)
+    # event horizon (over the active sets)
     # ------------------------------------------------------------------
     def _maybe_quiescent(self) -> bool:
         """Cheap necessary condition for quiescence; when it holds the

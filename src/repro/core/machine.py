@@ -27,7 +27,7 @@ from ..network.topology import make_topology, topology_names, validate_topology_
 from .memory_ops import Op
 from .paracomputer import Program, ProgramFactory
 from .results import PEResult, RunResult
-from .scheduler import kernel_names, kernel_topologies, make_kernel
+from .scheduler import kernel_names, make_kernel
 
 __all__ = [
     "Driver",
@@ -78,13 +78,11 @@ class MachineConfig:
     #: tracing.  Requires ``instrument=True``.
     trace_capacity: int = 0
     #: simulation kernel: ``"dense"`` ticks every component every cycle
-    #: (the reference semantics); ``"event"`` skips idle components and
-    #: fast-forwards globally quiet cycles; ``"batch"`` (requires numpy,
-    #: the ``repro[batch]`` extra) mirrors per-stage switch state into
-    #: struct-of-arrays form and advances whole stages per vectorized
-    #: step — the 1024–4096-PE scaling kernel.  All kernels produce
-    #: bit-identical results; valid names come from the pluggable
-    #: registry in :mod:`repro.core.scheduler`.
+    #: (the reference semantics); ``"batch"`` mirrors per-stage switch
+    #: state into struct-of-arrays form, visits only components that can
+    #: act, and fast-forwards globally quiet cycles — on every topology.
+    #: Both produce bit-identical results; valid names come from the
+    #: pluggable registry in :mod:`repro.core.scheduler`.
     kernel: str = "dense"
     #: network geometry, resolved through the topology registry in
     #: :mod:`repro.network.topology`: ``"omega"`` (the paper's machine),
@@ -172,15 +170,6 @@ class MachineConfig:
                 f"unknown kernel {self.kernel!r}; choose from "
                 f"{sorted(kernel_names())}"
             )
-        allowed = kernel_topologies(self.kernel)
-        if allowed is not None and self.topology not in allowed:
-            raise ValueError(
-                f"kernel {self.kernel!r} supports only the "
-                f"{sorted(allowed)} topolog{'y' if len(allowed) == 1 else 'ies'}, "
-                f"not topology={self.topology!r}; run this topology under "
-                "an unrestricted kernel (e.g. kernel='dense' or "
-                "kernel='event')"
-            )
 
     # -- canonical serialization (the experiment subsystem rides on
     # this: specs embed machine configs and hash their JSON form) ------
@@ -225,13 +214,13 @@ class Driver(Protocol):
     Program PEs, synthetic traffic sources, and instrumented workload
     replayers all implement this protocol.
 
-    Drivers may additionally implement the event kernel's wake contract
+    Drivers may additionally implement the batch kernel's wake contract
     (see :mod:`repro.core.scheduler`): ``next_event_cycle(cycle)``
     returning the earliest cycle at which ``tick`` would do anything
     beyond closed-form counter updates (``None`` when purely waiting on
     in-flight traffic), and ``fast_forward(delta)`` applying those
     counter updates for ``delta`` skipped cycles.  Drivers without the
-    contract are ticked every cycle by both kernels, so stochastic
+    contract are ticked every cycle by every kernel, so stochastic
     open-loop sources stay bit-identical.
     """
 
@@ -347,7 +336,7 @@ class ProgramDriver:
     def done(self) -> bool:
         return all(not pe.running for pe in self.pes)
 
-    # -- event-kernel wake contract (see repro.core.scheduler) -----------
+    # -- wake contract (see repro.core.scheduler) -----------------------
     def next_event_cycle(self, cycle: int) -> Optional[int]:
         """Earliest cycle at which some PE does more than bump counters.
 
@@ -566,12 +555,12 @@ class Ultracomputer:
 
     # ------------------------------------------------------------------
     # cycle loop (delegated to the configured kernel; see
-    # repro.core.scheduler for the dense/event split)
+    # repro.core.scheduler for the dense/batch split)
     # ------------------------------------------------------------------
     def step(self) -> None:
         """Execute one cycle under the configured kernel.
 
-        Both kernels produce identical per-cycle state; the event kernel
+        Every kernel produces identical per-cycle state; the batch kernel
         merely skips components that provably cannot act.  (Single-cycle
         stepping never fast-forwards — use :meth:`run` or
         :meth:`run_cycles` for that.)

@@ -1,4 +1,4 @@
-"""Simulation kernels: the pluggable registry and the two object kernels.
+"""Simulation kernels: the pluggable registry and the reference kernel.
 
 The Ultracomputer's cycle loop originally ticked every component — every
 switch of every network copy, every PNI/MNI, every PE — on every cycle,
@@ -10,31 +10,16 @@ the *semantics* of a cycle from the *schedule* that executes it:
 * :class:`DenseKernel` — the reference kernel.  Ticks everything every
   cycle, exactly as the seed simulator did.  Its behavior is the
   specification.
-* :class:`EventKernel` — the wake-list kernel.  Two optimizations, both
-  required to be observationally invisible:
+* ``BatchKernel`` (:mod:`repro.core.batch_kernel`,
+  ``MachineConfig(kernel="batch")``) — the fast kernel, on every
+  topology.  It mirrors per-stage switch state into numpy arrays,
+  visits only components that can act, and fast-forwards globally
+  quiet cycles through the wake contract below.
 
-  1. **Sparse component iteration.**  Within an executed cycle, only
-     components that can possibly act are visited: switches are tracked
-     in per-stage wake sets (a switch is woken when a message is offered
-     to it and retired when it drains), and whole networks/stages with
-     no resident messages are skipped.  Skipping is safe because ticking
-     an empty component is a no-op by construction (each component
-     exposes a cheap ``is_idle()`` predicate stating exactly that).
-  2. **Quiet-cycle fast-forward.**  When no component can act *now*,
-     the kernel asks each stateful component for the earliest future
-     cycle at which it could (``next_event_cycle``), jumps straight
-     there, and applies the per-cycle counters the skipped cycles would
-     have accumulated in closed form (``fast_forward``): waiting PEs
-     gain ``idle_cycles``, computing PEs burn ``compute_remaining``,
-     busy MNIs gain ``busy_cycles``.
-
-A third kernel lives in :mod:`repro.core.batch_kernel`:
-``MachineConfig(kernel="batch")`` keeps per-stage switch state mirrored
-in numpy arrays and advances whole stages per vectorized step — the
-1024–4096-PE scaling kernel.  Kernels are *pluggable*: each registers a
-factory under its config name via :func:`register_kernel`, and both
-``MachineConfig.validate()`` and the CLI's ``--kernel`` choices derive
-from the registry, so new kernels need no config or CLI changes.
+Kernels are *pluggable*: each registers a factory under its config name
+via :func:`register_kernel`, and both ``MachineConfig.validate()`` and
+the CLI's ``--kernel`` choices derive from the registry, so new kernels
+need no config or CLI changes.
 
 The contract, enforced by ``tests/integration/test_kernel_equivalence.py``
 for every registered kernel: for any workload, the kernel produces a
@@ -42,25 +27,26 @@ for every registered kernel: for any workload, the kernel produces a
 combines, per-PE finish times and return values, instrumentation
 snapshot, cycle trace — is bit-identical to ``kernel="dense"``.
 
-Driver wake contract (optional; see :class:`repro.core.machine.Driver`):
+Wake contract (PNIs, MNIs, networks, and optionally drivers; see
+:class:`repro.core.machine.Driver`):
 
 ``next_event_cycle(cycle) -> Optional[int]``
     The earliest cycle ``>= cycle`` at which ``tick()`` would do
     anything beyond closed-form counter updates; ``None`` when the
-    driver is purely waiting on external stimulus (a reply in flight)
-    or finished.  Drivers that do not implement the method are treated
-    as active every cycle — the kernel then never fast-forwards, which
-    keeps open-loop stochastic drivers (whose RNG draws are per-cycle)
-    bit-identical.
+    component is purely waiting on external stimulus (a reply in
+    flight) or finished.  Drivers that do not implement the method are
+    treated as active every cycle — the kernel then never
+    fast-forwards, which keeps open-loop stochastic drivers (whose RNG
+    draws are per-cycle) bit-identical.
 ``fast_forward(delta) -> None``
     Apply the counter updates ``delta`` skipped cycles would have made.
-    Only called when the driver's ``next_event_cycle`` reported no
-    activity before ``cycle + delta``.
+    Only called when ``next_event_cycle`` reported no activity before
+    ``cycle + delta``.
 """
 
 from __future__ import annotations
 
-from typing import TYPE_CHECKING, Callable, Optional, Protocol, runtime_checkable
+from typing import TYPE_CHECKING, Callable, Protocol, runtime_checkable
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard
     from .machine import Ultracomputer
@@ -68,12 +54,10 @@ if TYPE_CHECKING:  # pragma: no cover - import cycle guard
 
 __all__ = [
     "DenseKernel",
-    "EventKernel",
     "KERNELS",
     "Kernel",
     "KernelFactory",
     "kernel_names",
-    "kernel_topologies",
     "make_kernel",
     "register_kernel",
 ]
@@ -107,40 +91,29 @@ class Kernel(Protocol):
 
 #: A kernel factory receives the fully wired machine and returns a
 #: :class:`Kernel` bound to it.  Factories run at machine construction
-#: time, so they may import optional dependencies lazily and raise an
-#: informative error when one is missing (the ``batch`` kernel gates its
-#: numpy import this way) — registration alone must stay import-free so
-#: ``MachineConfig.validate()`` and the CLI can list every kernel name.
+#: time, so registration stays import-free and ``MachineConfig.validate()``
+#: and the CLI can list every kernel name cheaply.
 KernelFactory = Callable[["Ultracomputer"], "Kernel"]
 
 #: Kernel registry keyed by the ``MachineConfig.kernel`` string.  Extend
 #: it with :func:`register_kernel`; read names with :func:`kernel_names`.
 KERNELS: dict[str, KernelFactory] = {}
 
-#: Per-kernel topology restrictions, parallel to :data:`KERNELS` (kept
-#: out of the factory values so callers that stash and re-register
-#: factories keep working).  Absent or ``None`` means the kernel runs
-#: any registered topology; a tuple names the only ones it supports.
-KERNEL_TOPOLOGIES: dict[str, Optional[tuple[str, ...]]] = {}
-
 
 def register_kernel(
     name: str,
     factory: KernelFactory,
     *,
-    topologies: Optional[tuple[str, ...]] = None,
     replace: bool = False,
 ) -> None:
     """Register a simulation kernel under ``MachineConfig.kernel=name``.
 
     ``MachineConfig.validate()`` and the CLI's ``--kernel`` choices both
     derive from this registry, so a plugged-in kernel is selectable
-    everywhere without touching config or CLI code.  ``topologies``
-    restricts the kernel to named network geometries (the batch kernel
-    vectorizes the shuffle wiring specifically, so it declares
-    ``("omega",)``); ``None`` supports every topology.  Re-registering a
-    name is an error unless ``replace=True`` (tests use ``replace`` to
-    install instrumented stand-ins).
+    everywhere without touching config or CLI code.  Every kernel must
+    run every registered topology.  Re-registering a name is an error
+    unless ``replace=True`` (tests use ``replace`` to install
+    instrumented stand-ins).
     """
     if not name or not isinstance(name, str):
         raise ValueError(f"kernel name must be a non-empty string, got {name!r}")
@@ -150,21 +123,11 @@ def register_kernel(
             "override it"
         )
     KERNELS[name] = factory
-    KERNEL_TOPOLOGIES[name] = tuple(topologies) if topologies is not None else None
 
 
 def kernel_names() -> tuple[str, ...]:
     """Registered kernel names, sorted (the valid ``--kernel`` choices)."""
     return tuple(sorted(KERNELS))
-
-
-def kernel_topologies(name: str) -> Optional[tuple[str, ...]]:
-    """Topologies kernel ``name`` supports; ``None`` means all of them."""
-    if name not in KERNELS:
-        raise ValueError(
-            f"unknown kernel {name!r}; choose from {sorted(KERNELS)}"
-        )
-    return KERNEL_TOPOLOGIES.get(name)
 
 
 class DenseKernel:
@@ -173,13 +136,13 @@ class DenseKernel:
     The phase order within a cycle is part of the machine's semantics
     (it realizes the paper's pipelining: an MNI reply injected this
     cycle is seen by the last switch stage this cycle, and so on) and is
-    identical in both kernels:
+    identical in every kernel:
 
     1. MNIs complete/start memory accesses;
     2. requests move one hop toward memory (downstream stages first);
     3. PNIs inject queued requests into stage 0;
     4. replies move one hop toward the PEs;
-    5. MNIs inject queued replies into the last stage;
+    5. MNIs inject queued replies at their reply-entry stage;
     6. drivers (PEs) consume replies and issue new work;
     7. every clock advances.
     """
@@ -234,123 +197,6 @@ class DenseKernel:
         )
 
 
-class EventKernel(DenseKernel):
-    """Wake-list kernel: skip idle components, fast-forward quiet cycles."""
-
-    name = "event"
-
-    # ------------------------------------------------------------------
-    # one executed cycle, visiting only awake components
-    # ------------------------------------------------------------------
-    def step(self) -> None:
-        m = self.machine
-        cycle = m.cycle
-        for mni in m.mnis:
-            mni.tick(cycle)
-        for network in m.networks:
-            if not network.is_idle():
-                network.step_forward_sparse()
-        for pni in m.pnis:
-            if pni.outbound:
-                pni.tick_outbound(cycle, m._inject_request)
-        for network in m.networks:
-            if not network.is_idle():
-                network.step_return_sparse()
-        for mni in m.mnis:
-            if mni.outbound:
-                mni.tick_outbound(cycle, m._inject_reply)
-        for driver in m.drivers:
-            driver.tick(cycle)
-        for network in m.networks:
-            network.advance_cycle()
-        m.cycle += 1
-
-    # ------------------------------------------------------------------
-    # event horizon
-    # ------------------------------------------------------------------
-    def _next_event_cycle(self) -> Optional[int]:
-        """Earliest cycle at which any component can act; None if no
-        component will ever act again without external stimulus."""
-        m = self.machine
-        cycle = m.cycle
-        for network in m.networks:
-            if not network.is_idle():
-                return cycle  # resident messages try to move every cycle
-        best: Optional[int] = None
-        for mni in m.mnis:
-            c = mni.next_event_cycle(cycle)
-            if c is not None:
-                if c <= cycle:
-                    return cycle
-                if best is None or c < best:
-                    best = c
-        for pni in m.pnis:
-            c = pni.next_event_cycle(cycle)
-            if c is not None:
-                if c <= cycle:
-                    return cycle
-                if best is None or c < best:
-                    best = c
-        for driver in m.drivers:
-            probe = getattr(driver, "next_event_cycle", None)
-            # Drivers without the wake contract are assumed active every
-            # cycle (their tick may draw RNG or issue unconditionally).
-            c = cycle if probe is None else probe(cycle)
-            if c is not None:
-                if c <= cycle:
-                    return cycle
-                if best is None or c < best:
-                    best = c
-        return best
-
-    def _fast_forward(self, target: int) -> None:
-        """Jump to ``target``, applying skipped cycles in closed form."""
-        m = self.machine
-        delta = target - m.cycle
-        if delta <= 0:
-            return
-        for mni in m.mnis:
-            mni.fast_forward(delta)
-        for network in m.networks:
-            network.fast_forward(delta)
-        for driver in m.drivers:
-            forward = getattr(driver, "fast_forward", None)
-            if forward is not None:
-                forward(delta)
-        m.cycle = target
-
-    # ------------------------------------------------------------------
-    # runs
-    # ------------------------------------------------------------------
-    def run(self, max_cycles: int = 1_000_000) -> "RunResult":
-        m = self.machine
-        while not m.quiescent():
-            if m.cycle >= max_cycles:
-                raise self._timeout(max_cycles)
-            nxt = self._next_event_cycle()
-            if nxt is None or nxt >= max_cycles:
-                # Nothing (relevant) happens before the deadline: the
-                # dense kernel would spin pure idle-counting cycles up
-                # to max_cycles and raise — replicate that exactly.
-                self._fast_forward(max_cycles)
-                raise self._timeout(max_cycles)
-            self._fast_forward(nxt)
-            self.step()
-        return m.stats()
-
-    def run_cycles(self, n: int) -> "RunResult":
-        m = self.machine
-        end = m.cycle + n
-        while m.cycle < end:
-            nxt = self._next_event_cycle()
-            if nxt is None or nxt >= end:
-                self._fast_forward(end)
-                break
-            self._fast_forward(nxt)
-            self.step()
-        return m.stats()
-
-
 def make_kernel(name: str, machine: "Ultracomputer") -> "Kernel":
     try:
         factory = KERNELS[name]
@@ -362,17 +208,12 @@ def make_kernel(name: str, machine: "Ultracomputer") -> "Kernel":
 
 
 def _batch_factory(machine: "Ultracomputer") -> "Kernel":
-    # Imported lazily: the batch kernel needs numpy (the optional
-    # ``repro[batch]`` extra), but its *name* must be listable without it.
+    # Imported at call time: batch_kernel subclasses DenseKernel, so a
+    # module-level import here would be circular.
     from .batch_kernel import BatchKernel
 
     return BatchKernel(machine)
 
 
 register_kernel(DenseKernel.name, DenseKernel)
-register_kernel(EventKernel.name, EventKernel)
-# The batch kernel mirrors the perfect-shuffle wiring into per-stage
-# numpy arrays; it is Omega-specific by construction, and the registry
-# records that so MachineConfig.validate() rejects the combination with
-# an actionable error instead of failing inside the mirror build.
-register_kernel("batch", _batch_factory, topologies=("omega",))
+register_kernel("batch", _batch_factory)

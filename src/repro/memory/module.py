@@ -121,10 +121,6 @@ class MemoryModule:
     def queue_length(self) -> int:
         return len(self._pending) + (1 if self._in_service else 0)
 
-    def is_idle(self) -> bool:
-        """True when ticking would be a no-op (wake contract)."""
-        return self._in_service is None and not self._pending
-
     def tick(self, cycle: int) -> Optional[tuple[Op, Effect]]:
         """Advance one cycle; return the (op, effect) completed this cycle.
 

@@ -238,7 +238,7 @@ class PNI:
         return self.total_round_trip / self.replies_received
 
     # ------------------------------------------------------------------
-    # wake contract (event kernel)
+    # wake contract (batch kernel fast-forward)
     # ------------------------------------------------------------------
     def next_event_cycle(self, cycle: int) -> Optional[int]:
         """Earliest cycle >= ``cycle`` at which :meth:`tick_outbound`
@@ -247,10 +247,6 @@ class PNI:
         if not self.outbound:
             return None
         return max(cycle, self._link_busy_until)
-
-    def is_idle(self) -> bool:
-        """True when no request is queued or in flight through this PNI."""
-        return not self.outbound and not self._outstanding_tags
 
 
 class MNI:
@@ -368,7 +364,7 @@ class MNI:
         return len(self._inbound) + (1 if self._in_service else 0) + len(self.outbound)
 
     # ------------------------------------------------------------------
-    # wake contract (event kernel)
+    # wake contract (batch kernel fast-forward)
     # ------------------------------------------------------------------
     def next_event_cycle(self, cycle: int) -> Optional[int]:
         """Earliest cycle >= ``cycle`` at which :meth:`tick` or
@@ -389,6 +385,3 @@ class MNI:
         waiting for its latency to elapse)."""
         if self._in_service is not None:
             self.busy_cycles += delta
-
-    def is_idle(self) -> bool:
-        return self.pending == 0

@@ -18,8 +18,8 @@ The network proper owns only the switches and the wiring; endpoints
 (PNIs on the PE side, MNIs on the memory side) are connected through
 sink callbacks so the same network serves the full machine, the
 synthetic-traffic benchmarks, and the unit tests.
-:class:`~repro.network.omega.OmegaNetwork` is this class pinned to the
-Omega geometry.
+``MultistageNetwork(config, OmegaTopology(n, k))`` is the paper's
+Omega network.
 """
 
 from __future__ import annotations
@@ -29,7 +29,7 @@ from typing import Callable, Optional
 
 from ..instrumentation import DISABLED, Instrumentation
 from .message import Message
-from .switch import Switch
+from .switch import Deliver, Switch
 from .topology import Topology
 
 #: Endpoint sinks: called with (endpoint index, message); return True to
@@ -94,51 +94,47 @@ class MultistageNetwork:
         self.mm_sink: Optional[Sink] = None
         self.pe_sink: Optional[Sink] = None
         self.cycle = 0
-        # Wake sets for the event kernel: per stage, the indices of
-        # switches that may hold traffic in that direction.  Maintained
-        # by both kernels (marking is cheap and keeps the sets valid if
-        # a test mixes dense stepping with sparse stepping); entries may
-        # be stale (switch already drained) — they are pruned on visit,
-        # which is safe because ticking an empty switch is a no-op.
-        self._fwd_dirty: list[set[int]] = [set() for _ in range(topology.stages)]
-        self._ret_dirty: list[set[int]] = [set() for _ in range(topology.stages)]
         self._build_wiring()
 
     # ------------------------------------------------------------------
     # static wiring
     # ------------------------------------------------------------------
     def _build_wiring(self) -> None:
-        """Precompute one delivery callback per (stage, switch, port).
+        """Resolve the topology's wiring once, then prebind delivery
+        callbacks on it.
 
-        The topology's wiring is static, so each output port's target —
-        switch object, input port, dirty-set marker or endpoint line —
-        is resolved once here and prebound into its own callable; the
-        per-cycle hot path then runs with no lookups or tuple unpacking.
-        The callbacks also mark the receiving switch's wake set on
-        acceptance, which is how traffic propagates through the event
-        kernel's dirty sets.
+        ``forward_targets[stage]`` and ``return_targets[stage]`` hold
+        every output port's :data:`~repro.network.topology.ForwardTarget`
+        / ``ReturnTarget``, flat-indexed by ``switch * arity + port``.
+        Stages with identical wiring share one tuple — every inner Omega
+        stage is the same shuffle — so the tables cost one row per
+        distinct wiring.  The dense path prebinds each port's target
+        (switch object and input port, or endpoint line) into its own
+        callable, so the per-cycle hot path runs with no lookups or
+        tuple unpacking; the batch kernel indexes the tables directly.
         """
         topo = self.topology
         arity = topo.switch_arity
+        switches = range(topo.switches_per_stage)
+        ports = range(arity)
 
-        def fwd_sink(line: int) -> Callable[[Message], bool]:
-            def deliver(msg: Message) -> bool:
-                return self.mm_sink(line, msg)  # type: ignore[misc]
+        def resolve(target_of) -> list[tuple]:
+            distinct: dict[tuple, tuple] = {}
+            rows = []
+            for stage in range(topo.stages):
+                row = tuple(
+                    target_of(stage, index, port)
+                    for index in switches for port in ports
+                )
+                rows.append(distinct.setdefault(row, row))
+            return rows
 
-            return deliver
+        self.forward_targets = resolve(topo.forward_target)
+        self.return_targets = resolve(topo.return_target)
 
-        def fwd_hop(
-            target: Switch, in_port: int, mark: Callable[[int], None], index: int
-        ) -> Callable[[Message], bool]:
-            def deliver(msg: Message) -> bool:
-                if target.offer_forward(in_port, msg, self.cycle):
-                    mark(index)
-                    return True
-                return False
+        def unused(stage: int, f: int) -> Deliver:
+            index, port = divmod(f, arity)
 
-            return deliver
-
-        def unused(stage: int, index: int, port: int) -> Callable[[Message], bool]:
             def deliver(msg: Message) -> bool:
                 raise AssertionError(
                     f"message routed out unused port {port} of switch "
@@ -147,70 +143,57 @@ class MultistageNetwork:
 
             return deliver
 
-        def ret_sink(line: int) -> Callable[[Message], bool]:
+        def fwd_sink(line: int) -> Deliver:
+            def deliver(msg: Message) -> bool:
+                return self.mm_sink(line, msg)  # type: ignore[misc]
+
+            return deliver
+
+        def fwd_hop(target: Switch, in_port: int) -> Deliver:
+            def deliver(msg: Message) -> bool:
+                return target.offer_forward(in_port, msg, self.cycle)
+
+            return deliver
+
+        def ret_sink(line: int) -> Deliver:
             def deliver(msg: Message) -> bool:
                 return self.pe_sink(line, msg)  # type: ignore[misc]
 
             return deliver
 
-        def ret_hop(
-            target: Switch, mm_port: int, mark: Callable[[int], None], index: int
-        ) -> Callable[[Message], bool]:
+        def ret_hop(target: Switch, mm_port: int) -> Deliver:
             def deliver(msg: Message) -> bool:
-                if target.offer_return(mm_port, msg, self.cycle):
-                    mark(index)
-                    return True
-                return False
+                return target.offer_return(mm_port, msg, self.cycle)
 
             return deliver
 
-        def make_fwd(stage: int, index: int) -> list[Callable[[Message], bool]]:
-            delivers = []
-            for port in range(arity):
-                target = topo.forward_target(stage, index, port)
-                if target is None:
-                    delivers.append(unused(stage, index, port))
-                elif target[0] == "mm":
-                    delivers.append(fwd_sink(target[1]))
-                else:
-                    _, next_switch, next_port = target
-                    delivers.append(
-                        fwd_hop(
-                            self.stages[stage + 1][next_switch],
-                            next_port,
-                            self._fwd_dirty[stage + 1].add,
-                            next_switch,
-                        )
-                    )
-            return delivers
+        def bind_forward(stage: int, f: int) -> Deliver:
+            target = self.forward_targets[stage][f]
+            if target is None:
+                return unused(stage, f)
+            if target[0] == "mm":
+                return fwd_sink(target[1])
+            return fwd_hop(self.stages[stage + 1][target[1]], target[2])
 
-        def make_ret(stage: int, index: int) -> list[Callable[[Message], bool]]:
-            delivers = []
-            for port in range(arity):
-                target = topo.return_target(stage, index, port)
-                if target is None:
-                    delivers.append(unused(stage, index, port))
-                elif target[0] == "pe":
-                    delivers.append(ret_sink(target[1]))
-                else:
-                    _, prev_switch, mm_port = target
-                    delivers.append(
-                        ret_hop(
-                            self.stages[stage - 1][prev_switch],
-                            mm_port,
-                            self._ret_dirty[stage - 1].add,
-                            prev_switch,
-                        )
-                    )
-            return delivers
+        def bind_return(stage: int, f: int) -> Deliver:
+            target = self.return_targets[stage][f]
+            if target is None:
+                return unused(stage, f)
+            if target[0] == "pe":
+                return ret_sink(target[1])
+            return ret_hop(self.stages[stage - 1][target[1]], target[2])
+
+        def bind_stage(bind, stage: int) -> list[list[Deliver]]:
+            return [
+                [bind(stage, index * arity + port) for port in ports]
+                for index in switches
+            ]
 
         self._fwd_deliver = [
-            [make_fwd(stage, index) for index in range(topo.switches_per_stage)]
-            for stage in range(topo.stages)
+            bind_stage(bind_forward, stage) for stage in range(topo.stages)
         ]
         self._ret_deliver = [
-            [make_ret(stage, index) for index in range(topo.switches_per_stage)]
-            for stage in range(topo.stages)
+            bind_stage(bind_return, stage) for stage in range(topo.stages)
         ]
 
     # ------------------------------------------------------------------
@@ -226,10 +209,9 @@ class MultistageNetwork:
     def offer_request(self, pe: int, message: Message) -> bool:
         """Inject a request from PE ``pe`` into the first stage."""
         switch_index, in_port = self.topology.inject_point(pe)
-        if self.stages[0][switch_index].offer_forward(in_port, message, self.cycle):
-            self._fwd_dirty[0].add(switch_index)
-            return True
-        return False
+        return self.stages[0][switch_index].offer_forward(
+            in_port, message, self.cycle
+        )
 
     def offer_reply(self, mm: int, message: Message) -> bool:
         """Inject a reply from MM ``mm`` at the stage its request left
@@ -238,10 +220,9 @@ class MultistageNetwork:
         stage, switch_index, mm_port = self.topology.reply_entry(
             mm, message.origin
         )
-        if self.stages[stage][switch_index].offer_return(mm_port, message, self.cycle):
-            self._ret_dirty[stage].add(switch_index)
-            return True
-        return False
+        return self.stages[stage][switch_index].offer_return(
+            mm_port, message, self.cycle
+        )
 
     # ------------------------------------------------------------------
     # cycle advance
@@ -266,76 +247,18 @@ class MultistageNetwork:
             for switch in self.stages[stage]:
                 switch.tick_return(self.cycle, deliver_row[switch.index])
 
-    def step_forward_sparse(self) -> None:
-        """Like :meth:`step_forward` but visit only woken switches.
-
-        Iteration is over ``sorted(dirty)`` so the offer order — which
-        decides who wins the last slot of a filling downstream queue —
-        matches the dense kernel's ascending-index sweep exactly; the
-        skipped switches hold no requests, so they could not have
-        offered anything.
-        """
-        if self.mm_sink is None:
-            raise RuntimeError("network endpoints not connected")
-        for stage in range(self.topology.stages - 1, -1, -1):
-            dirty = self._fwd_dirty[stage]
-            if not dirty:
-                continue
-            row = self.stages[stage]
-            deliver_row = self._fwd_deliver[stage]
-            for index in sorted(dirty):
-                switch = row[index]
-                if switch.forward_pending() == 0:
-                    dirty.discard(index)  # stale wake
-                    continue
-                switch.tick_forward(self.cycle, deliver_row[index])
-                if switch.forward_pending() == 0:
-                    dirty.discard(index)
-
-    def step_return_sparse(self) -> None:
-        """Like :meth:`step_return` but visit only woken switches."""
-        if self.pe_sink is None:
-            raise RuntimeError("network endpoints not connected")
-        for stage in range(self.topology.stages):
-            dirty = self._ret_dirty[stage]
-            if not dirty:
-                continue
-            row = self.stages[stage]
-            deliver_row = self._ret_deliver[stage]
-            for index in sorted(dirty):
-                switch = row[index]
-                if switch.return_pending() == 0:
-                    dirty.discard(index)  # stale wake
-                    continue
-                switch.tick_return(self.cycle, deliver_row[index])
-                if switch.return_pending() == 0:
-                    dirty.discard(index)
-
     def advance_cycle(self) -> None:
         self.cycle += 1
 
     # ------------------------------------------------------------------
-    # wake contract (event kernel)
+    # wake contract (batch kernel fast-forward)
     # ------------------------------------------------------------------
-    def has_traffic(self) -> bool:
-        """True when some switch may hold a resident message.
-
-        Conservative: a stale wake entry makes this return True for at
-        most one executed cycle (the sparse step prunes it), which costs
-        time but cannot change observable behavior — executing a cycle
-        in which nothing moves is exactly what the dense kernel does.
-        """
-        return any(self._fwd_dirty) or any(self._ret_dirty)
-
-    def is_idle(self) -> bool:
-        return not self.has_traffic()
-
     def fast_forward(self, delta: int) -> None:
         """Advance the clock over quiet cycles.
 
-        Only called when :meth:`is_idle` holds: with no resident
-        messages nothing in a switch ticks, so the closed form of
-        ``delta`` dense cycles is just the clock advance.
+        Only called when no switch holds a resident message: then
+        nothing ticks, so the closed form of ``delta`` dense cycles is
+        just the clock advance.
         """
         self.cycle += delta
 

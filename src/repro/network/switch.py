@@ -349,29 +349,6 @@ class Switch:
         """Messages resident in this switch (both directions)."""
         return sum(len(q) for q in self.to_mm) + sum(len(q) for q in self.to_pe)
 
-    def forward_pending(self) -> int:
-        """Requests resident in the ToMM component."""
-        return sum(len(q) for q in self.to_mm)
-
-    def return_pending(self) -> int:
-        """Replies resident in the ToPE component."""
-        return sum(len(q) for q in self.to_pe)
-
-    def is_idle(self) -> bool:
-        """True when ticking this switch would be a no-op.
-
-        Wait records are deliberately excluded: they are passive — they
-        only act when a matching reply arrives, and that arrival wakes
-        the switch through the network's dirty sets.
-        """
-        for queue in self.to_mm:
-            if queue._slots:
-                return False
-        for queue in self.to_pe:
-            if queue._slots:
-                return False
-        return True
-
     def pending_wait_records(self) -> int:
         return sum(len(wb) for wb in self.wait_buffers)
 

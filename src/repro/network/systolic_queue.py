@@ -262,10 +262,6 @@ class CombiningQueue:
         self.append(message)
         return InsertOutcome(queued=True)
 
-    def is_idle(self) -> bool:
-        """True when the queue holds nothing (wake contract)."""
-        return not self._slots
-
     def sample(self) -> QueueSample:
         """Occupancy and cumulative-throughput snapshot (timeline probe)."""
         return QueueSample(
@@ -353,10 +349,6 @@ class SystolicQueue(Generic[T]):
         return sum(x is not None for x in self.middle) + sum(
             x is not None for x in self.right
         )
-
-    def is_idle(self) -> bool:
-        """True when no item is in flight anywhere (wake contract)."""
-        return self.occupancy() == 0
 
     def insert(self, item: T) -> bool:
         """Offer an item to the bottom of the middle column."""

@@ -123,14 +123,6 @@ class WaitBuffer:
     def is_full(self) -> bool:
         return self.capacity is not None and self._occupancy >= self.capacity
 
-    def is_idle(self) -> bool:
-        """True when no decombine is pending (wake contract).
-
-        A wait buffer is passive — it acts only when a matching reply
-        arrives — so idleness here means it holds nothing at all.
-        """
-        return self._occupancy == 0
-
     def insert(self, record: WaitRecord) -> None:
         if self.is_full():
             raise WaitBufferFullError(

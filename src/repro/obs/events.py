@@ -46,9 +46,7 @@ The flight recorder (:func:`flight_dump`) snapshots the last-N merged
 events into a timestamped JSON file on three triggers — worker crash,
 lease steal, driver resume — and ``repro fleet dump`` pretty-prints
 one.  :func:`iter_batch_events` is the single reader for a batch
-directory: it merges the per-process JSONL logs *and* the legacy
-``steal-*.json`` / ``respawn-*.json`` audit files older batch dirs
-contain, so pre-upgrade state stays inspectable.
+directory: it merges the per-process JSONL logs.
 """
 
 from __future__ import annotations
@@ -56,13 +54,12 @@ from __future__ import annotations
 import io
 import json
 import os
-import re
 import threading
 import time
 from collections import deque
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Any, Iterable, Iterator, Optional
+from typing import Any, Iterable, Optional
 
 #: Schema tag written into every flight dump.
 DUMP_SCHEMA = "repro.fleet.dump/1"
@@ -72,9 +69,6 @@ RESERVED_KEYS = ("ts", "kind", "trace", "worker", "span", "parent")
 
 #: Default ring capacity — the flight recorder's lookback window.
 DEFAULT_CAPACITY = 512
-
-_LEGACY_STEAL_RE = re.compile(r"^steal-b(\d+)-g(\d+)\.json$")
-_LEGACY_RESPAWN_RE = re.compile(r"^respawn-(\d+)\.json$")
 
 
 def fleet_logging_enabled() -> bool:
@@ -283,55 +277,14 @@ def read_events(path: os.PathLike) -> list[FleetEvent]:
     return events
 
 
-def _legacy_events(events_dir: Path) -> Iterator[FleetEvent]:
-    """Pre-upgrade audit files (``steal-*.json`` / ``respawn-*.json``)
-    surfaced as fleet events, so old batch dirs read uniformly."""
-    try:
-        names = sorted(os.listdir(events_dir))
-    except OSError:
-        return
-    for name in names:
-        legacy_kind = None
-        if _LEGACY_STEAL_RE.match(name):
-            legacy_kind = "steal"
-        elif _LEGACY_RESPAWN_RE.match(name):
-            legacy_kind = "respawn"
-        if legacy_kind is None:
-            continue
-        try:
-            with open(events_dir / name, encoding="utf-8") as fh:
-                raw = json.load(fh)
-        except (OSError, json.JSONDecodeError):
-            continue
-        if not isinstance(raw, dict):
-            continue
-        fields = {
-            k: v for k, v in raw.items()
-            if k not in ("event", "at", "thief", "worker")
-        }
-        fields["legacy"] = True
-        worker = raw.get("thief", raw.get("worker"))
-        yield FleetEvent(
-            ts=float(raw.get("at", 0.0)),
-            kind=str(raw.get("event", legacy_kind)),
-            trace="",
-            worker=f"shard-{worker}" if worker is not None else "unknown",
-            span=(
-                f"b{raw['block']}.g{raw['gen']}"
-                if "block" in raw and "gen" in raw else None
-            ),
-            fields=fields,
-        )
-
-
 def iter_batch_events(
     batch_dir: os.PathLike, *, trace: Optional[str] = None
 ) -> list[FleetEvent]:
     """Every event of a batch directory, merged and time-ordered.
 
-    Reads all per-process ``events/*.jsonl`` logs plus any legacy
-    audit files; ``trace`` filters to one sweep (logs accumulate
-    across resumes — each resume is a fresh trace in the same dir).
+    Reads all per-process ``events/*.jsonl`` logs; ``trace`` filters
+    to one sweep (logs accumulate across resumes — each resume is a
+    fresh trace in the same dir).
     """
     events_dir = Path(batch_dir) / "events"
     events: list[FleetEvent] = []
@@ -341,9 +294,8 @@ def iter_batch_events(
         logs = []
     for log in logs:
         events.extend(read_events(log))
-    events.extend(_legacy_events(events_dir))
     if trace is not None:
-        events = [e for e in events if e.trace == trace or e.trace == ""]
+        events = [e for e in events if e.trace == trace]
     events.sort(key=lambda e: (e.ts, e.worker, e.kind))
     return events
 

@@ -6,8 +6,8 @@ incrementally as messages move.  The switch objects stay authoritative,
 so the correctness condition is a round-trip: after any number of
 executed cycles, the incrementally-maintained arrays must equal a
 mirror rebuilt from scratch off the objects (``_CopyState.resync``).
-Hypothesis drives machines through varied sizes, workloads, and seeds
-and checks the round-trip at an arbitrary cut point.
+Hypothesis drives machines through varied fabrics, sizes, workloads,
+and seeds and checks the round-trip at an arbitrary cut point.
 """
 
 from __future__ import annotations
@@ -20,6 +20,10 @@ import hypothesis.strategies as st
 
 from repro.core.machine import MachineConfig, Ultracomputer
 from repro.core.memory_ops import FetchAdd, Load, Store
+from repro.network.topology import topology_names
+
+#: every registered fabric (4 and 16 PEs are valid sizes for all of them)
+TOPOLOGIES = st.sampled_from(topology_names())
 
 
 def _program(pe_id, rounds, seed):
@@ -66,10 +70,15 @@ class TestStateRoundTrip:
         seed=st.integers(min_value=0, max_value=2**16),
         cycles=st.integers(min_value=0, max_value=120),
         copies=st.sampled_from([1, 2]),
+        topology=TOPOLOGIES,
     )
-    def test_arrays_match_objects_at_any_cut(self, n_pes, seed, cycles, copies):
+    def test_arrays_match_objects_at_any_cut(
+        self, n_pes, seed, cycles, copies, topology
+    ):
         machine = Ultracomputer(
-            MachineConfig(n_pes=n_pes, kernel="batch", copies=copies)
+            MachineConfig(
+                n_pes=n_pes, kernel="batch", copies=copies, topology=topology
+            )
         )
         machine.spawn_many(n_pes, _program, 4, seed)
         for _ in range(cycles):
@@ -81,8 +90,11 @@ class TestStateRoundTrip:
     @given(
         seed=st.integers(min_value=0, max_value=2**16),
         queue_capacity=st.sampled_from([4, 6]),
+        topology=TOPOLOGIES,
     )
-    def test_round_trip_with_finite_queues(self, seed, queue_capacity):
+    def test_round_trip_with_finite_queues(
+        self, seed, queue_capacity, topology
+    ):
         """Back-pressure exercises the refusal paths (blocked offers must
         leave the arrays untouched, accepted ones must land exactly)."""
         machine = Ultracomputer(
@@ -91,6 +103,7 @@ class TestStateRoundTrip:
                 kernel="batch",
                 queue_capacity_packets=queue_capacity,
                 max_outstanding=2,
+                topology=topology,
             )
         )
         machine.spawn_many(16, _program, 4, seed)
@@ -100,12 +113,15 @@ class TestStateRoundTrip:
             _assert_mirror_matches_rebuild(state)
 
     def test_arrays_empty_after_quiescent_run(self):
-        machine = Ultracomputer(MachineConfig(n_pes=16, kernel="batch"))
-        machine.spawn_many(16, _program, 4, 7)
-        machine.run()
-        for state in _mirror_states(machine):
-            assert not state.has_messages()
-            _assert_mirror_matches_rebuild(state)
+        for topology in topology_names():
+            machine = Ultracomputer(
+                MachineConfig(n_pes=16, kernel="batch", topology=topology)
+            )
+            machine.spawn_many(16, _program, 4, 7)
+            machine.run()
+            for state in _mirror_states(machine):
+                assert not state.has_messages()
+                _assert_mirror_matches_rebuild(state)
 
 
 class TestConstruction:

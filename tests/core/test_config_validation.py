@@ -2,7 +2,8 @@
 
 import pytest
 
-from repro import MachineConfig, Ultracomputer
+from repro import FetchAdd, MachineConfig, Ultracomputer
+from repro.network.topology import topology_names
 
 
 def test_valid_config_passes():
@@ -53,12 +54,18 @@ class TestTopology:
     def test_mesh_accepts_non_power_of_two_squares(self):
         MachineConfig(n_pes=9, topology="mesh").validate()
 
-    def test_batch_kernel_is_omega_only(self):
-        with pytest.raises(ValueError, match="kernel 'batch' supports only"):
-            MachineConfig(n_pes=16, topology="mesh", kernel="batch").validate()
-        with pytest.raises(ValueError, match="dense"):
-            MachineConfig(n_pes=16, topology="hypercube", kernel="batch").validate()
-        MachineConfig(n_pes=16, topology="omega", kernel="batch").validate()
+    def test_batch_kernel_runs_every_topology(self):
+        for name in topology_names():
+            config = MachineConfig(n_pes=16, topology=name, kernel="batch")
+            config.validate()
+            machine = Ultracomputer(config)
+
+            def program(pe_id):
+                yield FetchAdd(0, 1)
+
+            machine.spawn_many(16, program)
+            machine.run()
+            assert machine.peek(0) == 16, name
 
 
 class TestComponentBounds:

@@ -6,7 +6,13 @@ import pytest
 
 from repro.core.machine import MachineConfig, Ultracomputer
 from repro.core.memory_ops import FetchAdd, Load
-from repro.core.scheduler import KERNELS, DenseKernel, EventKernel, make_kernel
+from repro.core.batch_kernel import BatchKernel
+from repro.core.scheduler import (
+    KERNELS,
+    DenseKernel,
+    kernel_names,
+    make_kernel,
+)
 from repro.memory.module import MemoryModule
 from repro.network.interfaces import MNI
 from repro.network.message import Message
@@ -18,16 +24,17 @@ class TestSelection:
     def test_default_is_dense(self):
         machine = Ultracomputer(MachineConfig(n_pes=4))
         assert isinstance(machine.kernel, DenseKernel)
-        assert not isinstance(machine.kernel, EventKernel)
+        assert not isinstance(machine.kernel, BatchKernel)
         assert machine.kernel.name == "dense"
 
-    def test_event_selected_by_config(self):
-        machine = Ultracomputer(MachineConfig(n_pes=4, kernel="event"))
-        assert isinstance(machine.kernel, EventKernel)
-        assert machine.kernel.name == "event"
+    def test_batch_selected_by_config(self):
+        machine = Ultracomputer(MachineConfig(n_pes=4, kernel="batch"))
+        assert isinstance(machine.kernel, BatchKernel)
+        assert machine.kernel.name == "batch"
 
     def test_registry_contents(self):
-        assert set(KERNELS) == {"batch", "dense", "event"}
+        assert set(KERNELS) == {"batch", "dense"}
+        assert kernel_names() == ("batch", "dense")
 
     def test_unknown_kernel_rejected_by_config(self):
         with pytest.raises(ValueError, match="unknown kernel"):
@@ -39,21 +46,28 @@ class TestSelection:
             make_kernel("warp", machine)
 
 
+def _drained(machine) -> bool:
+    """Nothing queued or in flight anywhere (the pending counts the
+    batch kernel's quiescence and fast-forward checks rest on)."""
+    return (
+        all(network.pending_messages() == 0 for network in machine.networks)
+        and all(
+            not pni.outbound and pni.outstanding() == 0 for pni in machine.pnis
+        )
+        and all(mni.pending == 0 for mni in machine.mnis)
+        and all(module.queue_length == 0 for module in machine.memory.modules)
+    )
+
+
 class TestWakeContract:
     def test_fresh_machine_components_idle(self):
         machine = Ultracomputer(MachineConfig(n_pes=4))
-        assert all(network.is_idle() for network in machine.networks)
-        assert all(pni.is_idle() for pni in machine.pnis)
-        assert all(mni.is_idle() for mni in machine.mnis)
-        for network in machine.networks:
-            for row in network.stages:
-                for switch in row:
-                    assert switch.is_idle()
-        for module in machine.memory.modules:
-            assert module.is_idle()
+        assert _drained(machine)
+        assert all(pni.next_event_cycle(0) is None for pni in machine.pnis)
+        assert all(mni.next_event_cycle(0) is None for mni in machine.mnis)
 
     def test_traffic_wakes_and_drain_sleeps(self):
-        machine = Ultracomputer(MachineConfig(n_pes=4, kernel="event"))
+        machine = Ultracomputer(MachineConfig(n_pes=4, kernel="batch"))
 
         def program(pe_id):
             yield Load(pe_id)
@@ -61,14 +75,16 @@ class TestWakeContract:
         machine.spawn_many(4, program)
         machine.step()  # tick 1 primes the generators (op now pending)
         machine.step()  # tick 2 issues the ops into the PNIs
-        assert any(not pni.is_idle() for pni in machine.pnis)
+        assert any(pni.outbound for pni in machine.pnis)
+        assert any(
+            pni.next_event_cycle(machine.cycle) is not None
+            for pni in machine.pnis
+        )
         machine.run()
-        assert all(network.is_idle() for network in machine.networks)
-        assert all(pni.is_idle() for pni in machine.pnis)
-        assert all(mni.is_idle() for mni in machine.mnis)
+        assert _drained(machine)
 
     def test_next_event_none_on_finished_machine(self):
-        machine = Ultracomputer(MachineConfig(n_pes=4, kernel="event"))
+        machine = Ultracomputer(MachineConfig(n_pes=4, kernel="batch"))
 
         def program(pe_id):
             yield Load(0)
@@ -78,7 +94,7 @@ class TestWakeContract:
         assert machine.kernel._next_event_cycle() is None
 
     def test_next_event_skips_compute_gap(self):
-        machine = Ultracomputer(MachineConfig(n_pes=4, kernel="event"))
+        machine = Ultracomputer(MachineConfig(n_pes=4, kernel="batch"))
 
         def program(pe_id):
             yield 50
@@ -94,10 +110,10 @@ class TestWakeContract:
 class TestStaleWakeAfterRefusedOffer:
     """The wake contract consulted *immediately* after a refused offer.
 
-    A refused offer must leave the target component's idle/next-event
-    answers exactly as they were before the offer: the event kernel
-    reads them in the same tick, and any half-committed state would
-    either lose the retry (sleeping past it) or spin forever."""
+    A refused offer must leave the target component's pending counts and
+    next-event answers exactly as they were before the offer: the batch
+    kernel reads them in the same tick, and any half-committed state
+    would either lose the retry (sleeping past it) or spin forever."""
 
     @staticmethod
     def _request(mm, topo, tag):
@@ -116,12 +132,12 @@ class TestStaleWakeAfterRefusedOffer:
         accepted = self._request(0b100, topo, tag=1)
         refused = self._request(0b110, topo, tag=2)
         assert switch.offer_forward(0, accepted, cycle=0)
-        busy_before = not switch.is_idle()
+        assert switch.pending_messages() == 1
         assert not switch.offer_forward(0, refused, cycle=0)
-        # Still exactly one queued message: awake for the accepted one,
-        # and nothing phantom queued for the refused one.
-        assert not switch.is_idle()
-        assert busy_before
+        # Still exactly one queued message: the accepted one, and
+        # nothing phantom queued for the refused one.
+        assert switch.pending_messages() == 1
+        assert switch.pending_wait_records() == 0
         assert sum(len(q) for q in switch.to_mm) == 1
 
     def test_empty_switch_stays_idle_after_refusal(self):
@@ -129,26 +145,28 @@ class TestStaleWakeAfterRefusedOffer:
         switch = Switch(2, stage=0, index=0, wait_buffer_capacity=0,
                         queue_capacity_packets=0)
         refused = self._request(0b100, topo, tag=1)
-        assert switch.is_idle()
+        assert switch.pending_messages() == 0
         assert not switch.offer_forward(0, refused, cycle=0)
-        # The refusal must not have woken the switch: ticking it would
-        # be a no-op, and the event kernel may legitimately skip it.
-        assert switch.is_idle()
+        # The refusal must leave the switch empty: ticking it would be a
+        # no-op, and the batch kernel's mirror may legitimately skip it.
+        assert switch.pending_messages() == 0
+        assert switch.pending_wait_records() == 0
 
     def test_mni_refusal_leaves_idle_and_no_event(self):
         module = MemoryModule(0)
         mni = MNI(module, inbound_capacity_packets=0)
         topo = OmegaTopology(8, 2)
         refused = self._request(0, topo, tag=7)
-        assert mni.is_idle()
+        assert mni.pending == 0
         assert not mni.offer_inbound(refused, cycle=3)
-        assert mni.is_idle()
+        assert mni.pending == 0
+        assert module.queue_length == 0
         assert mni.next_event_cycle(3) is None
 
 
 class TestRunCyclesParity:
-    def test_event_run_cycles_lands_on_exact_cycle(self):
-        for kernel in ("dense", "event"):
+    def test_run_cycles_lands_on_exact_cycle(self):
+        for kernel in ("dense", "batch"):
             machine = Ultracomputer(MachineConfig(n_pes=4, kernel=kernel))
 
             def program(pe_id):
@@ -162,7 +180,7 @@ class TestRunCyclesParity:
             assert machine.cycle == 17
 
     def test_single_step_never_fast_forwards(self):
-        machine = Ultracomputer(MachineConfig(n_pes=4, kernel="event"))
+        machine = Ultracomputer(MachineConfig(n_pes=4, kernel="batch"))
 
         def program(pe_id):
             yield 100

@@ -12,7 +12,7 @@ multisets, arrival staggers, and combine trees for counterexamples:
   association order is itself serializable (combining associativity);
 * pairwise combines of mixed operation types match some serial order of
   the two original requests;
-* and the dense/event kernels agree on every generated workload — the
+* and the dense/batch kernels agree on every generated workload — the
   equivalence grid, fuzzed.
 """
 
@@ -81,8 +81,8 @@ class TestFetchAddSerialization:
     @settings(max_examples=25, deadline=None)
     def test_kernels_agree_on_fuzzed_workloads(self, increments, gaps):
         dense = _run_simultaneous_faas(increments, gaps, "dense")
-        event = _run_simultaneous_faas(increments, gaps, "event")
-        assert dense == event
+        batch = _run_simultaneous_faas(increments, gaps, "batch")
+        assert dense == batch
 
 
 class TestCombineAssociativity:

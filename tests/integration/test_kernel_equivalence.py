@@ -1,13 +1,12 @@
-"""Differential regression: the optimized kernels must be invisible.
+"""Differential regression: the optimized kernel must be invisible.
 
-``MachineConfig(kernel="event")`` and ``MachineConfig(kernel="batch")``
-are optimizations, not model changes: for any workload each must
-produce a ``RunResult`` whose ``to_dict()`` — cycles, combines, per-PE
-outcomes, the full instrumentation snapshot, and the cycle trace — is
-bit-identical to the dense reference kernel.  These tests sweep a
-seeded grid of machine sizes, traffic shapes, and cache settings and
-compare each optimized kernel against dense; any divergence is a
-kernel bug by definition.
+``MachineConfig(kernel="batch")`` is an optimization, not a model
+change: for any workload it must produce a ``RunResult`` whose
+``to_dict()`` — cycles, combines, per-PE outcomes, the full
+instrumentation snapshot, and the cycle trace — is bit-identical to the
+dense reference kernel.  These tests sweep a seeded grid of machine
+sizes, traffic shapes, and cache settings and compare every optimized
+kernel against dense; any divergence is a kernel bug by definition.
 """
 
 from __future__ import annotations
@@ -22,13 +21,13 @@ from repro.pe.cached import CachedProgramDriver
 from repro.workloads.synthetic import SyntheticTrafficDriver, TrafficSpec
 
 GRID_N_PES = [4, 16, 64]
-OPTIMIZED_KERNELS = ["event", "batch"]
+OPTIMIZED_KERNELS = ["batch"]
 ROUNDS = 6
 
 
 def hotspot_program(pe_id, rounds=ROUNDS, seed=0):
     """Every PE hammers one cell with fetch-and-adds (combining-heavy),
-    interleaved with seeded compute gaps so the event kernel actually
+    interleaved with seeded compute gaps so the batch kernel actually
     fast-forwards."""
     rng = random.Random((seed << 16) | pe_id)
     total = 0
@@ -120,8 +119,8 @@ class TestCachedGrid:
 
 
 class TestOpenLoopTraffic:
-    """Stochastic open-loop drivers have no wake contract: the sparse
-    kernels must fall back to executing every cycle, keeping the RNG
+    """Stochastic open-loop drivers have no wake contract: the batch
+    kernel must fall back to executing every cycle, keeping the RNG
     draw sequence — and therefore everything downstream — identical."""
 
     @pytest.mark.parametrize("kernel", OPTIMIZED_KERNELS)
@@ -147,33 +146,33 @@ class TestTimeoutParity:
 
         messages = []
         counters = []
-        for kernel in ("dense", "event", "batch"):
+        for kernel in ("dense", "batch"):
             machine = _machine(4, kernel)
             machine.spawn_many(4, stuck)
             with pytest.raises(RuntimeError) as excinfo:
                 machine.run(max_cycles=500)
             messages.append(str(excinfo.value))
             counters.append((machine.cycle, machine.stats().to_dict()))
-        assert messages[0] == messages[1] == messages[2]
-        assert counters[0] == counters[1] == counters[2]
+        assert messages[0] == messages[1]
+        assert counters[0] == counters[1]
 
 
 class TestKernelProgress:
-    def test_event_kernel_fast_forwards(self):
-        """The event kernel must actually skip quiet cycles: a workload
+    def test_batch_kernel_fast_forwards(self):
+        """The batch kernel must actually skip quiet cycles: a workload
         that is almost all compute finishes in the same simulated time
         while executing far fewer real cycles (observable via the
-        machine's step count through a counting subclass)."""
-        machine = _machine(4, "event")
+        kernel's executed-cycle count through a counting wrapper)."""
+        machine = _machine(4, "batch")
         steps = 0
-        original_step = machine.kernel.step
+        original_step = machine.kernel._step
 
         def counting_step():
             nonlocal steps
             steps += 1
             original_step()
 
-        machine.kernel.step = counting_step
+        machine.kernel._step = counting_step
 
         def mostly_quiet(pe_id):
             for _ in range(3):

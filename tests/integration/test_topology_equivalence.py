@@ -1,13 +1,13 @@
 """Differential regression: topologies are fabrics, kernels stay invisible.
 
-Two guarantees at once.  First, the event kernel must remain a pure
+Two guarantees at once.  First, the batch kernel must remain a pure
 optimization on *every* fabric: for any workload on the hypercube or
 mesh, ``RunResult.to_dict()`` — cycles, combines, per-PE outcomes, the
 instrumentation snapshot, and the cycle trace — must be bit-identical
-to the dense reference kernel.  Second, the machine itself must behave
-on the new fabrics: combining fires on hotspot traffic, fetch-and-add
-totals are exact, and the batch kernel's Omega-only restriction is
-enforced with an actionable error.
+to the dense reference kernel, and its quiet-cycle fast-forward must
+actually fire there.  Second, the machine itself must behave on the new
+fabrics: combining fires on hotspot traffic and fetch-and-add totals
+are exact.
 """
 
 from __future__ import annotations
@@ -65,21 +65,50 @@ def _run(topology, n_pes, kernel, pattern, seed, **overrides):
 class TestKernelEquivalenceOffOmega:
     @pytest.mark.parametrize("n_pes", GRID_N_PES)
     @pytest.mark.parametrize("pattern", ["hotspot", "uniform"])
-    def test_event_identical_to_dense(self, topology, n_pes, pattern):
+    def test_batch_identical_to_dense(self, topology, n_pes, pattern):
         dense = _run(topology, n_pes, "dense", pattern, seed=11)
-        event = _run(topology, n_pes, "event", pattern, seed=11)
-        assert dense == event
+        batch = _run(topology, n_pes, "batch", pattern, seed=11)
+        assert dense == batch
 
     def test_identical_with_finite_queues_and_window(self, topology):
         kwargs = dict(queue_capacity_packets=4, max_outstanding=2)
         dense = _run(topology, 16, "dense", "uniform", seed=5, **kwargs)
-        event = _run(topology, 16, "event", "uniform", seed=5, **kwargs)
-        assert dense == event
+        batch = _run(topology, 16, "batch", "uniform", seed=5, **kwargs)
+        assert dense == batch
 
     def test_identical_without_combining(self, topology):
         dense = _run(topology, 16, "dense", "hotspot", seed=3, combining=False)
-        event = _run(topology, 16, "event", "hotspot", seed=3, combining=False)
-        assert dense == event
+        batch = _run(topology, 16, "batch", "hotspot", seed=3, combining=False)
+        assert dense == batch
+
+    def test_batch_kernel_fast_forwards(self, topology):
+        """Quiet cycles are skipped on direct fabrics too: the run covers
+        its compute gaps in simulated time while executing fewer real
+        cycles than it simulates."""
+        machine = Ultracomputer(MachineConfig(
+            n_pes=16, topology=topology, kernel="batch",
+        ))
+        executed = 0
+        step = machine.kernel._step
+
+        def counting_step():
+            nonlocal executed
+            executed += 1
+            step()
+
+        machine.kernel._step = counting_step
+
+        def program(pe_id):
+            for _ in range(3):
+                yield 200
+                yield FetchAdd(0, 1)
+
+        machine.spawn_many(16, program)
+        result = machine.run()
+        assert machine.peek(0) == 48
+        skipped = result.cycles - executed
+        assert skipped > 0
+        assert executed < result.cycles / 3
 
 
 @pytest.mark.parametrize("topology", TOPOLOGIES)
@@ -117,9 +146,3 @@ class TestFabricSemantics:
             else:
                 assert result.combines == 0
         assert totals[True] == totals[False] == 48
-
-
-def test_batch_kernel_rejected_off_omega():
-    with pytest.raises(ValueError, match="kernel 'batch' supports only"):
-        Ultracomputer(MachineConfig(n_pes=16, topology="hypercube",
-                                    kernel="batch"))

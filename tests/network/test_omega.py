@@ -4,13 +4,21 @@ import pytest
 
 from repro.core.memory_ops import FetchAdd, Load, Store
 from repro.network.message import Message
-from repro.network.omega import NetworkConfig, OmegaNetwork
+from repro.network.multistage import MultistageNetwork, NetworkConfig
+from repro.network.topology import OmegaTopology
+
+
+def omega(n_ports: int, k: int = 2, **knobs) -> MultistageNetwork:
+    """The paper's Omega network: the generic grid on the Omega wiring."""
+    return MultistageNetwork(
+        NetworkConfig(n_ports=n_ports, k=k, **knobs), OmegaTopology(n_ports, k)
+    )
 
 
 class Harness:
     """Endpoints for a bare network: records deliveries, echoes replies."""
 
-    def __init__(self, network: OmegaNetwork):
+    def __init__(self, network: MultistageNetwork):
         self.network = network
         self.at_mm: list[tuple[int, Message]] = []
         self.at_pe: list[tuple[int, Message]] = []
@@ -44,7 +52,7 @@ def request(network, op, pe, mm, tag):
 
 @pytest.fixture
 def net8():
-    return OmegaNetwork(NetworkConfig(n_ports=8, k=2))
+    return omega(8)
 
 
 class TestDelivery:
@@ -66,7 +74,7 @@ class TestDelivery:
         assert cycles == net8.topology.stages  # one cycle per stage
 
     def test_all_pairs_delivered(self):
-        network = OmegaNetwork(NetworkConfig(n_ports=8, k=2))
+        network = omega(8)
         harness = Harness(network)
         tag = 0
         for pe in range(8):
@@ -101,7 +109,7 @@ class TestDelivery:
         assert harness.at_pe == [(6, reply)]
 
     def test_k4_network_round_trip(self):
-        network = OmegaNetwork(NetworkConfig(n_ports=16, k=4))
+        network = omega(16, 4)
         harness = Harness(network)
         message = request(network, Load(3), pe=13, mm=6, tag=9)
         network.offer_request(13, message)
@@ -136,7 +144,7 @@ class TestPipelining:
         """All 8 PEs fetch-and-add one cell simultaneously: the switch
         tree combines them into a single memory access (the section
         3.1.2 key property)."""
-        network = OmegaNetwork(NetworkConfig(n_ports=8, k=2, combining=True))
+        network = omega(8, combining=True)
         harness = Harness(network)
         for pe in range(8):
             message = request(network, FetchAdd(0, 1), pe=pe, mm=0, tag=100 + pe)
@@ -153,7 +161,7 @@ class TestPipelining:
         assert values == list(range(8))  # distinct prefix sums
 
     def test_without_combining_all_requests_reach_memory(self):
-        network = OmegaNetwork(NetworkConfig(n_ports=8, k=2, combining=False))
+        network = omega(8, combining=False)
         harness = Harness(network)
         for pe in range(8):
             message = request(network, FetchAdd(0, 1), pe=pe, mm=0, tag=100 + pe)
@@ -173,7 +181,7 @@ class TestDrainAccounting:
         assert net8.is_drained()  # delivered out of the network
 
     def test_wait_records_pending_until_reply(self):
-        network = OmegaNetwork(NetworkConfig(n_ports=8, k=2))
+        network = omega(8)
         harness = Harness(network)
         for pe in (0, 4):
             # PEs 0 and 4 share a first-stage switch input pair? inject
@@ -189,6 +197,6 @@ class TestDrainAccounting:
             assert network.pending_wait_records() == 0
 
     def test_endpoints_required(self):
-        network = OmegaNetwork(NetworkConfig(n_ports=8, k=2))
+        network = omega(8)
         with pytest.raises(RuntimeError, match="not connected"):
             network.step_forward()

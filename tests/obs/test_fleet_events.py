@@ -1,5 +1,5 @@
-"""The fleet event log: ring + JSONL sink, readers, flight dumps,
-legacy audit-file adoption, and the merged Chrome trace."""
+"""The fleet event log: ring + JSONL sink, readers, flight dumps, and
+the merged Chrome trace."""
 
 import json
 
@@ -117,26 +117,6 @@ class TestBatchReader:
         only_t1 = iter_batch_events(tmp_path, trace="t1")
         assert {e.trace for e in only_t1} == {"t1"}
         assert len(only_t1) == 2
-
-    def test_adopts_legacy_audit_files(self, tmp_path):
-        events_dir = tmp_path / "events"
-        events_dir.mkdir()
-        (events_dir / "steal-b3-g2.json").write_text(json.dumps({
-            "event": "steal", "at": 5.0, "block": 3, "gen": 2,
-            "victim_gen": 1, "thief": 1, "stale_s": 0.4,
-        }))
-        (events_dir / "respawn-0.json").write_text(json.dumps({
-            "event": "respawn", "at": 6.0, "worker": 2, "exitcode": -9,
-        }))
-        events = iter_batch_events(tmp_path)
-        assert [e.kind for e in events] == ["steal", "respawn"]
-        steal = events[0]
-        assert steal.worker == "shard-1"
-        assert steal.span == "b3.g2"
-        assert steal.fields["legacy"] is True
-        assert steal.fields["victim_gen"] == 1
-        # legacy events have no trace, so a trace filter keeps them
-        assert len(iter_batch_events(tmp_path, trace="zz")) == 2
 
     def test_missing_events_dir_is_empty(self, tmp_path):
         assert iter_batch_events(tmp_path / "nope") == []

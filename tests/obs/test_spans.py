@@ -107,7 +107,7 @@ class TestRunResultIntegration:
 
 
 class TestLatencyDifferential:
-    @pytest.mark.parametrize("kernel", ["dense", "event"])
+    @pytest.mark.parametrize("kernel", ["dense", "batch"])
     def test_p100_matches_flat_trace_max(self, kernel):
         result = _traced_run(kernel=kernel)
         issues = {
@@ -124,12 +124,12 @@ class TestLatencyDifferential:
 
     def test_kernels_export_identical_results(self):
         dense = _traced_run(kernel="dense").to_dict()
-        event = _traced_run(kernel="event").to_dict()
-        assert dense["trace"] == event["trace"]
-        assert dense["latency"] == event["latency"]
-        assert dense == event
+        batch = _traced_run(kernel="batch").to_dict()
+        assert dense["trace"] == batch["trace"]
+        assert dense["latency"] == batch["latency"]
+        assert dense == batch
 
-    @pytest.mark.parametrize("kernel", ["dense", "event"])
+    @pytest.mark.parametrize("kernel", ["dense", "batch"])
     def test_trace_round_trips_through_json(self, kernel):
         out = _traced_run(kernel=kernel).to_dict()
         restored = json.loads(json.dumps(out))

@@ -192,6 +192,15 @@ class TestJsonOutput:
         assert len(payload["results"]) == 6
         assert all("points" in s for s in payload["results"])
 
+    def test_fig7_simulate_json_defaults_to_spec_kernel(self, capsys):
+        """Without --kernel, the spec function's own default (batch for
+        the simulated Figure 7 points) decides — the CLI adds none."""
+        assert main(["fig7", "--simulate", "--pes", "16", "--cycles", "20",
+                     "--rate", "0.05", "--no-cache", "--json"]) == 0
+        payload = self._envelope(capsys, "fig7")
+        assert payload["spec"]["base"]["kernel"] == "batch"
+        assert [p["kernel"] for p in payload["results"]] == ["batch"]
+
     def test_fig7_json_second_run_is_cached(self, capsys):
         assert main(["fig7", "--json"]) == 0
         capsys.readouterr()
