@@ -16,11 +16,13 @@ spawned once per PE.
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass, field
-from typing import Callable, Dict, Optional, Union
+from typing import Callable, Optional, Union
 
 from ..core.memory_ops import FetchAdd
 from ..core.paracomputer import Paracomputer
+from ..util import Registry
 
 #: setup(machine) -> None; returns the per-PE program and its args.
 WorkloadFactory = Callable[..., tuple[Callable, Callable, tuple]]
@@ -28,7 +30,7 @@ WorkloadFactory = Callable[..., tuple[Callable, Callable, tuple]]
 #: Registered workloads: name -> factory.  A *named* workload can cross
 #: a process boundary, so the experiment engine can fan its (P, size)
 #: grid out over workers and cache the points; see :func:`run_study`.
-_WORKLOADS: Dict[str, WorkloadFactory] = {}
+WORKLOADS: Registry[WorkloadFactory] = Registry("workload")
 
 
 def register_workload(name: str) -> Callable[[WorkloadFactory], WorkloadFactory]:
@@ -44,25 +46,7 @@ def register_workload(name: str) -> Callable[[WorkloadFactory], WorkloadFactory]
     :func:`repro.exp.experiments.scaling_spec`) in place of the factory
     itself, unlocking parallel execution and result caching.
     """
-
-    def decorate(factory: WorkloadFactory) -> WorkloadFactory:
-        existing = _WORKLOADS.get(name)
-        if existing is not None and existing is not factory:
-            raise ValueError(f"workload {name!r} already registered")
-        _WORKLOADS[name] = factory
-        return factory
-
-    return decorate
-
-
-def resolve_workload(name: str) -> WorkloadFactory:
-    try:
-        return _WORKLOADS[name]
-    except KeyError:
-        known = ", ".join(sorted(_WORKLOADS)) or "(none)"
-        raise KeyError(
-            f"no workload named {name!r}; registered: {known}"
-        ) from None
+    return functools.partial(WORKLOADS.register, name)
 
 
 @register_workload("faa-counter")
@@ -187,7 +171,7 @@ def run_study(
     """
     if isinstance(factory, str):
         workload_name = factory
-        resolve_workload(workload_name)  # fail fast on typos
+        WORKLOADS[workload_name]  # fail fast on typos
         display_name = name or workload_name
         from ..exp import scaling_spec, serial_runner
 

@@ -45,29 +45,45 @@ from typing import Any, Optional, Sequence
 # ----------------------------------------------------------------------
 # shared flag groups and helpers
 # ----------------------------------------------------------------------
+#: Flags several subcommands define identically, declared once.
+_SHARED_FLAGS: dict[str, dict[str, Any]] = {
+    "--no-cache": dict(action="store_true",
+                       help="bypass the on-disk result cache entirely"),
+    "--cache-dir": dict(default=None, metavar="DIR",
+                        help="cache location (default: $REPRO_EXP_CACHE or "
+                             "~/.cache/repro/exp)"),
+    "--shards": dict(type=int, default=None, metavar="N",
+                     help="worker processes for --backend sharded "
+                          "(default: --workers)"),
+}
+
+
+def _add_shared_flag(sub: Any, flag: str) -> None:
+    sub.add_argument(flag, **_SHARED_FLAGS[flag])
+
+
 def _add_sweep_flags(sub: argparse.ArgumentParser) -> None:
     """Execution flags shared by every engine-backed subcommand."""
     group = sub.add_argument_group("sweep execution")
     group.add_argument("--workers", type=int, default=None, metavar="N",
                        help="worker processes for the sweep "
                             "(default: 1; >1 uses a process pool)")
-    group.add_argument("--no-cache", action="store_true",
-                       help="bypass the on-disk result cache entirely")
+    _add_shared_flag(group, "--no-cache")
     group.add_argument("--refresh", action="store_true",
                        help="recompute every point, overwriting cache entries")
-    group.add_argument("--cache-dir", default=None, metavar="DIR",
-                       help="cache location (default: $REPRO_EXP_CACHE or "
-                            "~/.cache/repro/exp)")
+    _add_shared_flag(group, "--cache-dir")
     group.add_argument("--backend", default=None, metavar="NAME",
                        help="execution backend: serial, pool, or sharded "
                             "(default: serial for --workers 1, pool above)")
-    group.add_argument("--shards", type=int, default=None, metavar="N",
-                       help="worker processes for --backend sharded "
-                            "(default: --workers)")
+    _add_shared_flag(group, "--shards")
     group.add_argument("--keep-events", action="store_true",
                        help="with --backend sharded: preserve the batch "
                             "directory (fleet event logs included) after "
                             "completion, for 'repro fleet status/trace'")
+
+
+def _add_json_flag(sub: argparse.ArgumentParser, help: str) -> None:
+    sub.add_argument("--json", action="store_true", help=help)
 
 
 def _add_seed_flag(sub: argparse.ArgumentParser, default: int = 0) -> None:
@@ -78,9 +94,9 @@ def _add_seed_flag(sub: argparse.ArgumentParser, default: int = 0) -> None:
 
 
 def _add_kernel_flag(sub: argparse.ArgumentParser) -> None:
-    from repro.core.scheduler import kernel_names
+    from repro.core.scheduler import KERNELS
 
-    sub.add_argument("--kernel", choices=kernel_names(), default=None,
+    sub.add_argument("--kernel", choices=KERNELS.names(), default=None,
                      help="simulation kernel (all are bit-identical) "
                           "[default: the experiment's own]")
 
@@ -107,13 +123,13 @@ def _make_runner(args: argparse.Namespace):
     backend = getattr(args, "backend", None)
     shards = getattr(args, "shards", None)
     if backend is not None:
-        from repro.exp import backend_names
+        from repro.exp import BACKENDS
+        from repro.util import UnknownNameError
 
-        if backend not in backend_names():
-            raise SystemExit(
-                f"unknown backend {backend!r}; choose from "
-                f"{', '.join(backend_names())}"
-            )
+        try:
+            BACKENDS[backend]
+        except UnknownNameError as exc:
+            raise SystemExit(str(exc)) from None
     if backend == "sharded" and shards is not None and workers == 1 \
             and args.workers is None:
         # --shards N alone should mean N-way parallelism.
@@ -993,8 +1009,7 @@ def build_parser() -> argparse.ArgumentParser:
     demo.add_argument("--pes", type=int, default=8)
     _add_kernel_flag(demo)
     _add_seed_flag(demo)
-    demo.add_argument("--json", action="store_true",
-                      help="emit the RunResult as JSON")
+    _add_json_flag(demo, "emit the RunResult as JSON")
     demo.set_defaults(fn=_cmd_demo)
 
     fig7 = subparsers.add_parser("fig7", help="Figure 7 transit curves")
@@ -1020,15 +1035,13 @@ def build_parser() -> argparse.ArgumentParser:
                            "600 cross-topology]")
     _add_kernel_flag(fig7)
     _add_seed_flag(fig7, default=1)
-    fig7.add_argument("--json", action="store_true",
-                      help="emit the curves as JSON")
+    _add_json_flag(fig7, "emit the curves as JSON")
     _add_sweep_flags(fig7)
     fig7.set_defaults(fn=_cmd_fig7)
 
     table1 = subparsers.add_parser("table1", help="Table 1 traffic study")
     _add_seed_flag(table1, default=1)
-    table1.add_argument("--json", action="store_true",
-                        help="emit the rows as JSON")
+    _add_json_flag(table1, "emit the rows as JSON")
     _add_sweep_flags(table1)
     table1.set_defaults(fn=_cmd_table1)
 
@@ -1036,23 +1049,20 @@ def build_parser() -> argparse.ArgumentParser:
     table2.add_argument("--quick", action="store_true",
                         help="fewer simulated (P, N) pairs")
     _add_seed_flag(table2, default=11)
-    table2.add_argument("--json", action="store_true",
-                        help="emit the fitted model and samples as JSON")
+    _add_json_flag(table2, "emit the fitted model and samples as JSON")
     _add_sweep_flags(table2)
     table2.set_defaults(fn=_cmd_table2)
 
     packaging = subparsers.add_parser("packaging", help="section 3.6 budget")
     packaging.add_argument("--pes", type=int, default=4096)
-    packaging.add_argument("--json", action="store_true",
-                           help="emit the budget rows as JSON")
+    _add_json_flag(packaging, "emit the budget rows as JSON")
     packaging.set_defaults(fn=_cmd_packaging)
 
     hotspot = subparsers.add_parser("hotspot", help="combining ablation")
     hotspot.add_argument("--pes", type=int, default=16)
     _add_kernel_flag(hotspot)
     _add_seed_flag(hotspot)
-    hotspot.add_argument("--json", action="store_true",
-                         help="emit both runs' RunResults as JSON")
+    _add_json_flag(hotspot, "emit both runs' RunResults as JSON")
     _add_sweep_flags(hotspot)
     hotspot.set_defaults(fn=_cmd_hotspot)
 
@@ -1067,8 +1077,7 @@ def build_parser() -> argparse.ArgumentParser:
                             "transit-latency quantiles (0 = off)")
     _add_kernel_flag(stats)
     _add_seed_flag(stats)
-    stats.add_argument("--json", action="store_true",
-                       help="emit the RunResult (metrics included) as JSON")
+    _add_json_flag(stats, "emit the RunResult (metrics included) as JSON")
     stats.set_defaults(fn=_cmd_stats)
 
     trace = subparsers.add_parser(
@@ -1085,8 +1094,7 @@ def build_parser() -> argparse.ArgumentParser:
                        help="also write a Chrome/Perfetto trace JSON to "
                             "PATH (open in ui.perfetto.dev)")
     _add_seed_flag(trace)
-    trace.add_argument("--json", action="store_true",
-                       help="emit the events as JSON")
+    _add_json_flag(trace, "emit the events as JSON")
     trace.set_defaults(fn=_cmd_trace)
 
     timeline = subparsers.add_parser(
@@ -1103,8 +1111,7 @@ def build_parser() -> argparse.ArgumentParser:
                           help="cycles per sample")
     timeline.add_argument("--k", type=int, default=2, help="switch arity")
     _add_seed_flag(timeline)
-    timeline.add_argument("--json", action="store_true",
-                          help="emit the sampled series as JSON")
+    _add_json_flag(timeline, "emit the sampled series as JSON")
     _add_sweep_flags(timeline)
     timeline.set_defaults(fn=_cmd_timeline)
 
@@ -1125,8 +1132,7 @@ def build_parser() -> argparse.ArgumentParser:
                        help="exit nonzero when any error exceeds the "
                             "threshold (for CI)")
     _add_seed_flag(drift)
-    drift.add_argument("--json", action="store_true",
-                       help="emit the drift report as JSON")
+    _add_json_flag(drift, "emit the drift report as JSON")
     _add_sweep_flags(drift)
     drift.set_defaults(fn=_cmd_drift)
 
@@ -1144,13 +1150,11 @@ def build_parser() -> argparse.ArgumentParser:
     profile.add_argument("--sort", choices=["tottime", "cumtime"],
                          default="tottime")
     _add_seed_flag(profile)
-    profile.add_argument("--json", action="store_true",
-                         help="emit the hotspot table as JSON")
+    _add_json_flag(profile, "emit the hotspot table as JSON")
     profile.set_defaults(fn=_cmd_profile)
 
     queue = subparsers.add_parser("queue", help="parallel queue race")
-    queue.add_argument("--json", action="store_true",
-                       help="emit the race table as JSON")
+    _add_json_flag(queue, "emit the race table as JSON")
     queue.set_defaults(fn=_cmd_queue)
 
     sweep = subparsers.add_parser(
@@ -1187,9 +1191,8 @@ def build_parser() -> argparse.ArgumentParser:
                        help="fraction of skipped points simulated anyway "
                             "to measure the model error [default: 0.25]")
     _add_seed_flag(sweep, default=1)
-    sweep.add_argument("--json", action="store_true",
-                       help="emit results (or the adaptive coverage "
-                            "report) as JSON")
+    _add_json_flag(sweep, "emit results (or the adaptive coverage "
+                          "report) as JSON")
     _add_sweep_flags(sweep)
     sweep.set_defaults(fn=_cmd_sweep)
 
@@ -1200,11 +1203,8 @@ def build_parser() -> argparse.ArgumentParser:
                        help="show entry/byte counts (the default action)")
     cache.add_argument("--clear", action="store_true",
                        help="delete every cache entry")
-    cache.add_argument("--cache-dir", default=None, metavar="DIR",
-                       help="cache location (default: $REPRO_EXP_CACHE or "
-                            "~/.cache/repro/exp)")
-    cache.add_argument("--json", action="store_true",
-                       help="emit the stats as JSON")
+    _add_shared_flag(cache, "--cache-dir")
+    _add_json_flag(cache, "emit the stats as JSON")
     cache.set_defaults(fn=_cmd_cache)
 
     serve = subparsers.add_parser(
@@ -1224,20 +1224,15 @@ def build_parser() -> argparse.ArgumentParser:
                        help="bind port (0 = ephemeral) [default: 8600]")
     serve.add_argument("--workers", type=int, default=None, metavar="N",
                        help="persistent pool size [default: CPU count]")
-    serve.add_argument("--no-cache", action="store_true",
-                       help="bypass the on-disk result cache entirely")
+    _add_shared_flag(serve, "--no-cache")
     serve.add_argument("--refresh", action="store_true",
                        help="recompute cached points (still writes fresh "
                             "entries)")
-    serve.add_argument("--cache-dir", default=None, metavar="DIR",
-                       help="cache location (default: $REPRO_EXP_CACHE or "
-                            "~/.cache/repro/exp)")
+    _add_shared_flag(serve, "--cache-dir")
     serve.add_argument("--backend", default="pool", metavar="NAME",
                        help="execution backend: serial, pool, or sharded "
                             "[default: pool]")
-    serve.add_argument("--shards", type=int, default=None, metavar="N",
-                       help="worker processes for --backend sharded "
-                            "(default: --workers)")
+    _add_shared_flag(serve, "--shards")
     serve.set_defaults(fn=_cmd_serve)
 
     fleet = subparsers.add_parser(
@@ -1258,7 +1253,7 @@ def build_parser() -> argparse.ArgumentParser:
     )
     fstatus.add_argument("batch_dir",
                          help="a sharded batch directory (under "
-                              "$REPRO_SHARD_ROOT or the default root)")
+                              "$REPRO_EXP_SHARDS or the default root)")
     fstatus.add_argument("--trace", default=None, metavar="ID",
                          help="filter to one sweep's trace id")
     fstatus.add_argument("--watch", action="store_true",
@@ -1266,8 +1261,7 @@ def build_parser() -> argparse.ArgumentParser:
                               "appears")
     fstatus.add_argument("--interval", type=float, default=1.0, metavar="S",
                          help="poll interval for --watch [default: 1.0]")
-    fstatus.add_argument("--json", action="store_true",
-                         help="emit each snapshot as JSON")
+    _add_json_flag(fstatus, "emit each snapshot as JSON")
     fstatus.set_defaults(fn=_cmd_fleet_status)
 
     fdump = fleet_sub.add_parser(
@@ -1276,8 +1270,7 @@ def build_parser() -> argparse.ArgumentParser:
     fdump.add_argument("path",
                        help="a crash-*.json file, or a directory to "
                             "search (latest dump wins)")
-    fdump.add_argument("--json", action="store_true",
-                       help="emit the raw dump payload as JSON")
+    _add_json_flag(fdump, "emit the raw dump payload as JSON")
     fdump.set_defaults(fn=_cmd_fleet_dump)
 
     ftrace = fleet_sub.add_parser(

@@ -432,7 +432,11 @@ class _VectorPrograms:
             self.rebuild()
         return self.running == 0
 
-    # -- wake contract (mirrors ProgramDriver's object implementation) --
+    # -- wake contract: ProgramDriver.tick's branches in closed form ----
+    # A PE waiting on an empty reply queue or blocked on can_issue only
+    # accrues idle cycles; a computing PE only burns its countdown until
+    # it reaches zero; a deliverable reply, an issuable op or a fresh
+    # generator needs the real tick now.
     def next_event_cycle(self, cycle: int) -> Optional[int]:
         if len(self.driver.pes) != self.n:
             self.rebuild()

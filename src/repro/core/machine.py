@@ -23,11 +23,11 @@ from ..memory.module import BankedMemory
 from ..network.interfaces import MNI, PNI
 from ..network.message import Message
 from ..network.multistage import MultistageNetwork, NetworkConfig
-from ..network.topology import make_topology, topology_names, validate_topology_size
+from ..network.topology import TOPOLOGIES, make_topology
 from .memory_ops import Op
 from .paracomputer import Program, ProgramFactory
 from .results import PEResult, RunResult
-from .scheduler import kernel_names, make_kernel
+from .scheduler import KERNELS
 
 __all__ = [
     "Driver",
@@ -102,15 +102,10 @@ class MachineConfig:
                 f"switch arity k={self.k} is invalid; the network needs "
                 "k >= 2 (the paper's switches are 2x2)"
             )
-        if self.topology not in topology_names():
-            raise ValueError(
-                f"unknown topology {self.topology!r}; choose from "
-                f"{sorted(topology_names())}"
-            )
         # Per-topology port-count rules (each names the nearest valid
         # sizes in its error, e.g. "n_pes=100 ... nearest valid sizes
-        # are 64 and 128" for omega at k=2).
-        validate_topology_size(self.topology, self.n_pes, self.k)
+        # are 64 and 128" for omega at k=2); an unknown name raises too.
+        TOPOLOGIES[self.topology].validate_size(self.n_pes, self.k)
         if self.copies < 1:
             raise ValueError(
                 f"copies={self.copies} is invalid; the machine needs at "
@@ -164,11 +159,6 @@ class MachineConfig:
             raise ValueError(
                 "trace_capacity > 0 requires instrument=True; the cycle "
                 "trace rides on the instrumentation layer"
-            )
-        if self.kernel not in kernel_names():
-            raise ValueError(
-                f"unknown kernel {self.kernel!r}; choose from "
-                f"{sorted(kernel_names())}"
             )
 
     # -- canonical serialization (the experiment subsystem rides on
@@ -336,51 +326,6 @@ class ProgramDriver:
     def done(self) -> bool:
         return all(not pe.running for pe in self.pes)
 
-    # -- wake contract (see repro.core.scheduler) -----------------------
-    def next_event_cycle(self, cycle: int) -> Optional[int]:
-        """Earliest cycle at which some PE does more than bump counters.
-
-        Mirrors :meth:`tick` case by case: a PE waiting on an empty
-        reply queue or blocked on ``can_issue`` only accrues
-        ``idle_cycles`` (closed form); a computing PE only burns
-        ``compute_remaining`` until the cycle its countdown reaches
-        zero; everything else — a deliverable reply, an issuable op, a
-        fresh generator — needs the real tick now.
-        """
-        nxt: Optional[int] = None
-        for pe in self.pes:
-            if not pe.running:
-                continue
-            if pe.waiting_tag is not None:
-                if pe.pni.completed:
-                    return cycle
-                continue
-            if pe.compute_remaining > 0:
-                candidate = cycle + pe.compute_remaining - 1
-                if candidate <= cycle:
-                    return cycle
-                if nxt is None or candidate < nxt:
-                    nxt = candidate
-                continue
-            if pe.pending_op is not None:
-                if pe.pni.can_issue(pe.pending_op):
-                    return cycle
-                continue
-            return cycle  # fresh PE: priming the generator is an event
-        return nxt
-
-    def fast_forward(self, delta: int) -> None:
-        """Apply ``delta`` skipped cycles' counter updates in closed form."""
-        for pe in self.pes:
-            if not pe.running:
-                continue
-            if pe.waiting_tag is not None:
-                pe.idle_cycles += delta
-            elif pe.compute_remaining > 0:
-                pe.compute_remaining -= delta
-            elif pe.pending_op is not None:
-                pe.idle_cycles += delta
-
     # -- statistics ------------------------------------------------------
     @property
     def return_values(self) -> dict[int, Any]:
@@ -404,6 +349,7 @@ class Ultracomputer:
 
     def __init__(self, config: MachineConfig) -> None:
         config.validate()
+        kernel_factory = KERNELS[config.kernel]  # unknown names fail before wiring
         self.config = config
         self.instrumentation = (
             Instrumentation(enabled=True, trace_capacity=config.trace_capacity)
@@ -461,7 +407,7 @@ class Ultracomputer:
         self.drivers: list[Driver] = []
         self.programs = ProgramDriver(self)
         self.drivers.append(self.programs)
-        self.kernel = make_kernel(config.kernel, self)
+        self.kernel = kernel_factory(self)
 
     @property
     def network(self) -> MultistageNetwork:

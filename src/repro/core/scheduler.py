@@ -17,9 +17,9 @@ the *semantics* of a cycle from the *schedule* that executes it:
   quiet cycles through the wake contract below.
 
 Kernels are *pluggable*: each registers a factory under its config name
-via :func:`register_kernel`, and both ``MachineConfig.validate()`` and
-the CLI's ``--kernel`` choices derive from the registry, so new kernels
-need no config or CLI changes.
+with ``KERNELS.register`` (a :class:`repro.util.Registry`); machine
+construction looks the name up there and the CLI's ``--kernel`` choices
+derive from it, so new kernels need no config or CLI changes.
 
 The contract, enforced by ``tests/integration/test_kernel_equivalence.py``
 for every registered kernel: for any workload, the kernel produces a
@@ -48,6 +48,8 @@ from __future__ import annotations
 
 from typing import TYPE_CHECKING, Callable, Protocol, runtime_checkable
 
+from ..util import Registry
+
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard
     from .machine import Ultracomputer
     from .results import RunResult
@@ -57,9 +59,6 @@ __all__ = [
     "KERNELS",
     "Kernel",
     "KernelFactory",
-    "kernel_names",
-    "make_kernel",
-    "register_kernel",
 ]
 
 
@@ -91,43 +90,14 @@ class Kernel(Protocol):
 
 #: A kernel factory receives the fully wired machine and returns a
 #: :class:`Kernel` bound to it.  Factories run at machine construction
-#: time, so registration stays import-free and ``MachineConfig.validate()``
-#: and the CLI can list every kernel name cheaply.
+#: time, so registration stays import-free and the CLI can list every
+#: kernel name cheaply.
 KernelFactory = Callable[["Ultracomputer"], "Kernel"]
 
-#: Kernel registry keyed by the ``MachineConfig.kernel`` string.  Extend
-#: it with :func:`register_kernel`; read names with :func:`kernel_names`.
-KERNELS: dict[str, KernelFactory] = {}
-
-
-def register_kernel(
-    name: str,
-    factory: KernelFactory,
-    *,
-    replace: bool = False,
-) -> None:
-    """Register a simulation kernel under ``MachineConfig.kernel=name``.
-
-    ``MachineConfig.validate()`` and the CLI's ``--kernel`` choices both
-    derive from this registry, so a plugged-in kernel is selectable
-    everywhere without touching config or CLI code.  Every kernel must
-    run every registered topology.  Re-registering a name is an error
-    unless ``replace=True`` (tests use ``replace`` to install
-    instrumented stand-ins).
-    """
-    if not name or not isinstance(name, str):
-        raise ValueError(f"kernel name must be a non-empty string, got {name!r}")
-    if not replace and name in KERNELS:
-        raise ValueError(
-            f"kernel {name!r} is already registered; pass replace=True to "
-            "override it"
-        )
-    KERNELS[name] = factory
-
-
-def kernel_names() -> tuple[str, ...]:
-    """Registered kernel names, sorted (the valid ``--kernel`` choices)."""
-    return tuple(sorted(KERNELS))
+#: Kernel registry keyed by the ``MachineConfig.kernel`` string.  The
+#: CLI's ``--kernel`` choices derive from it; every kernel must run
+#: every registered topology.
+KERNELS: Registry[KernelFactory] = Registry("kernel")
 
 
 class DenseKernel:
@@ -197,16 +167,6 @@ class DenseKernel:
         )
 
 
-def make_kernel(name: str, machine: "Ultracomputer") -> "Kernel":
-    try:
-        factory = KERNELS[name]
-    except KeyError:
-        raise ValueError(
-            f"unknown kernel {name!r}; choose from {sorted(KERNELS)}"
-        ) from None
-    return factory(machine)
-
-
 def _batch_factory(machine: "Ultracomputer") -> "Kernel":
     # Imported at call time: batch_kernel subclasses DenseKernel, so a
     # module-level import here would be circular.
@@ -215,5 +175,5 @@ def _batch_factory(machine: "Ultracomputer") -> "Kernel":
     return BatchKernel(machine)
 
 
-register_kernel(DenseKernel.name, DenseKernel)
-register_kernel("batch", _batch_factory)
+KERNELS.register(DenseKernel.name, DenseKernel)
+KERNELS.register("batch", _batch_factory)

@@ -32,23 +32,20 @@ Quickstart::
 """
 
 from .adaptive import (
+    ADAPTIVE_PROFILES,
     AdaptiveProfile,
     AdaptiveReport,
     AdaptiveSampler,
-    adaptive_profile,
-    adaptive_profiles,
-    register_adaptive_profile,
 )
 from .backend import (
+    BACKENDS,
     ExecutionBackend,
     PoolBackend,
     SerialBackend,
     ShardedBackend,
     ShardedSweepError,
     WorkerCrashError,
-    backend_names,
     make_backend,
-    register_backend,
 )
 from .cache import NullCache, ResultCache, default_cache_root
 from .engine import (
@@ -72,7 +69,7 @@ from .experiments import (
     timeline_spec,
     tred2_spec,
 )
-from .registry import available, execute, point_function, resolve
+from .registry import POINT_FUNCTIONS, available, execute, point_function, resolve
 from .spec import (
     RESULTS_VERSION,
     ExperimentSpec,
@@ -82,13 +79,16 @@ from .spec import (
 )
 
 __all__ = [
+    "ADAPTIVE_PROFILES",
     "AdaptiveProfile",
     "AdaptiveReport",
     "AdaptiveSampler",
+    "BACKENDS",
     "CROSS_TOPOLOGY_RATES",
     "ExecutionBackend",
     "ExperimentSpec",
     "NullCache",
+    "POINT_FUNCTIONS",
     "PayloadSerializationError",
     "PointOutcome",
     "PoolBackend",
@@ -102,10 +102,7 @@ __all__ = [
     "SweepResult",
     "SweepRunner",
     "WorkerCrashError",
-    "adaptive_profile",
-    "adaptive_profiles",
     "available",
-    "backend_names",
     "build_hotspot_machine",
     "default_cache_root",
     "drift_spec",
@@ -117,8 +114,6 @@ __all__ = [
     "make_backend",
     "point_function",
     "point_hash",
-    "register_adaptive_profile",
-    "register_backend",
     "resolve",
     "scaling_spec",
     "serial_runner",

@@ -37,7 +37,7 @@ Profiles bind an experiment name to its prior: ``predict`` maps point
 parameters to the model's number (or ``None`` where the model abstains)
 and ``observe`` extracts the comparable number from a simulated
 payload.  Built-in profiles cover the Figure 7 experiments; register
-new ones with :func:`register_adaptive_profile`.
+new ones with ``ADAPTIVE_PROFILES.register(experiment, profile)``.
 """
 
 from __future__ import annotations
@@ -47,8 +47,9 @@ import math
 import random
 import time
 from dataclasses import dataclass, field
-from typing import Any, Callable, Dict, Optional
+from typing import Any, Callable, Optional
 
+from ..util import Registry
 from .engine import SweepRunner
 from .spec import ExperimentSpec
 
@@ -74,28 +75,8 @@ class AdaptiveProfile:
     quantity: str = "value"
 
 
-_PROFILES: Dict[str, AdaptiveProfile] = {}
-
-
-def register_adaptive_profile(profile: AdaptiveProfile) -> None:
-    """Register (or replace) the profile for ``profile.experiment``."""
-    _PROFILES[profile.experiment] = profile
-
-
-def adaptive_profiles() -> list[str]:
-    """Experiment names that have a registered profile, sorted."""
-    return sorted(_PROFILES)
-
-
-def adaptive_profile(experiment: str) -> AdaptiveProfile:
-    """The registered profile for ``experiment`` (KeyError if none)."""
-    try:
-        return _PROFILES[experiment]
-    except KeyError:
-        raise KeyError(
-            f"no adaptive profile registered for experiment "
-            f"{experiment!r}; known: {adaptive_profiles()}"
-        ) from None
+#: Profiles keyed by the experiment (point-function) name they bind.
+ADAPTIVE_PROFILES: Registry[AdaptiveProfile] = Registry("adaptive profile")
 
 
 # ---------------------------------------------------------------------------
@@ -133,7 +114,7 @@ def _observe_round_trip(payload: Any) -> Optional[float]:
 
 
 for _experiment in ("fig7.cross_topology", "fig7.simulated"):
-    register_adaptive_profile(AdaptiveProfile(
+    ADAPTIVE_PROFILES.register(_experiment, AdaptiveProfile(
         experiment=_experiment,
         predict=_predict_round_trip,
         observe=_observe_round_trip,
@@ -364,7 +345,7 @@ class AdaptiveSampler:
     # -- the run -------------------------------------------------------
     def run(self, spec: ExperimentSpec) -> AdaptiveReport:
         started = time.perf_counter()
-        profile = self.profile or adaptive_profile(spec.experiment)
+        profile = self.profile or ADAPTIVE_PROFILES[spec.experiment]
         if profile.experiment != spec.experiment:
             raise ValueError(
                 f"profile is for {profile.experiment!r}, "

@@ -21,9 +21,10 @@ a single fan-out layer instead of each owning a private pool:
   restarted driver re-adopts finished blocks before enqueueing the
   remainder.
 
-Backends are named and constructed through a registry mirroring the
-kernel (:mod:`repro.core.kernels`) and topology
-(:mod:`repro.network.topologies`) registries, which is what lets the
+Backends are named and constructed through :data:`BACKENDS`, a
+:class:`repro.util.Registry` like the kernel
+(:mod:`repro.core.scheduler`) and topology
+(:mod:`repro.network.topology`) registries, which is what lets the
 CLI expose ``--backend {serial,pool,sharded}`` without importing any
 implementation eagerly.
 
@@ -62,13 +63,12 @@ import multiprocessing
 import os
 import re
 import shutil
-import tempfile
 import threading
 import time
 from concurrent.futures import FIRST_COMPLETED, ProcessPoolExecutor, wait
 from concurrent.futures.process import BrokenProcessPool
 from pathlib import Path
-from typing import Any, Callable, Dict, Iterator, Optional, Sequence
+from typing import Any, Callable, Iterator, Optional, Sequence
 
 from ..obs.events import (
     EventLog,
@@ -78,6 +78,7 @@ from ..obs.events import (
     new_span_id,
     new_trace_id,
 )
+from ..util import Registry, atomic_write_text
 
 #: One unit of work: ``(point index, experiment name, params JSON)``.
 Task = tuple[int, str, str]
@@ -102,26 +103,10 @@ class ShardedSweepError(RuntimeError):
 # registry
 # ---------------------------------------------------------------------------
 
-_BACKENDS: Dict[str, Callable[..., "ExecutionBackend"]] = {}
-
-
-def register_backend(
-    name: str, factory: Callable[..., "ExecutionBackend"]
-) -> None:
-    """Register a backend factory under ``name`` (last writer wins).
-
-    The factory is called as ``factory(workers=..., shards=..., **opts)``
-    and must tolerate (ignore) the knobs it does not use, so one CLI
-    surface can configure any backend.
-    """
-    if not name:
-        raise ValueError("backend name must be non-empty")
-    _BACKENDS[name] = factory
-
-
-def backend_names() -> list[str]:
-    """Registered backend names, sorted."""
-    return sorted(_BACKENDS)
+#: Backend factories, called as ``factory(workers=..., shards=...,
+#: **opts)``; each must tolerate (ignore) the knobs it does not use, so
+#: one CLI surface can configure any backend.
+BACKENDS: Registry[Callable[..., "ExecutionBackend"]] = Registry("backend")
 
 
 def make_backend(
@@ -132,13 +117,7 @@ def make_backend(
     **opts: Any,
 ) -> "ExecutionBackend":
     """Construct a registered backend by name."""
-    try:
-        factory = _BACKENDS[name]
-    except KeyError:
-        raise KeyError(
-            f"unknown backend {name!r}; registered: {backend_names()}"
-        ) from None
-    return factory(workers=workers, shards=shards, **opts)
+    return BACKENDS[name](workers=workers, shards=shards, **opts)
 
 
 # ---------------------------------------------------------------------------
@@ -259,6 +238,22 @@ def _pool_context() -> multiprocessing.context.BaseContext:
     )
 
 
+def _exit_with_parent(parent: int) -> None:
+    """Pool-worker initializer: exit once the driver process is gone.
+
+    A SIGKILLed driver cannot shut its pool down, and a fork-context
+    worker holds the call queue's write end itself, so it would block
+    on that queue forever; polling the parent pid is what notices.
+    """
+
+    def watch() -> None:
+        while os.getppid() == parent:
+            time.sleep(0.5)
+        os._exit(1)
+
+    threading.Thread(target=watch, name="exit-with-parent", daemon=True).start()
+
+
 def _warm_task(_: int) -> int:
     """No-op task used to force worker processes into existence."""
     return os.getpid()
@@ -309,7 +304,10 @@ class PoolBackend(ExecutionBackend):
         with self._lock:
             if self._executor is None:
                 self._executor = ProcessPoolExecutor(
-                    max_workers=self._workers, mp_context=_pool_context()
+                    max_workers=self._workers,
+                    mp_context=_pool_context(),
+                    initializer=_exit_with_parent,
+                    initargs=(os.getpid(),),
                 )
             return self._executor
 
@@ -418,26 +416,7 @@ def default_shard_root() -> Path:
 
 
 def _atomic_write_json(path: Path, payload: Any) -> None:
-    """Write ``payload`` as JSON via temp file + rename (never torn)."""
-    path.parent.mkdir(parents=True, exist_ok=True)
-    handle = tempfile.NamedTemporaryFile(
-        "w",
-        dir=path.parent,
-        prefix=f".{path.name[:16]}-",
-        suffix=".tmp",
-        delete=False,
-        encoding="utf-8",
-    )
-    try:
-        with handle:
-            json.dump(payload, handle, sort_keys=True)
-        os.replace(handle.name, path)
-    except BaseException:
-        try:
-            os.unlink(handle.name)
-        except OSError:
-            pass
-        raise
+    atomic_write_text(path, json.dumps(payload, sort_keys=True))
 
 
 def _read_json(path: Path) -> Optional[Any]:
@@ -1113,6 +1092,6 @@ class ShardedBackend(ExecutionBackend):
         }
 
 
-register_backend("serial", SerialBackend)
-register_backend("pool", PoolBackend)
-register_backend("sharded", ShardedBackend)
+BACKENDS.register("serial", SerialBackend)
+BACKENDS.register("pool", PoolBackend)
+BACKENDS.register("sharded", ShardedBackend)

@@ -26,10 +26,10 @@ from __future__ import annotations
 
 import json
 import os
-import tempfile
 from pathlib import Path
 from typing import Any, Optional
 
+from ..util import atomic_write_text
 from .spec import RESULTS_VERSION
 
 
@@ -108,30 +108,11 @@ class ResultCache:
 
     def put(self, key: str, payload: Any, *, meta: Optional[dict] = None) -> None:
         """Store a payload atomically (write temp file, then rename)."""
-        path = self._path(key)
-        path.parent.mkdir(parents=True, exist_ok=True)
         entry = {"key": key, "version": RESULTS_VERSION, "payload": payload}
         if meta:
             entry["meta"] = meta
         text = json.dumps(entry, sort_keys=True)
-        handle = tempfile.NamedTemporaryFile(
-            "w",
-            dir=path.parent,
-            prefix=f".{key[:8]}-",
-            suffix=".tmp",
-            delete=False,
-            encoding="utf-8",
-        )
-        try:
-            with handle:
-                handle.write(text)
-            os.replace(handle.name, path)
-        except BaseException:
-            try:
-                os.unlink(handle.name)
-            except OSError:
-                pass
-            raise
+        atomic_write_text(self._path(key), text)
         self.writes += 1
         self.bytes_written += len(text.encode("utf-8"))
 

@@ -567,9 +567,9 @@ def timeline_spec(
 # ----------------------------------------------------------------------
 @point_function("scaling.point")
 def scaling_point(params: dict) -> dict[str, Any]:
-    from ..apps.harness import resolve_workload, run_point
+    from ..apps.harness import WORKLOADS, run_point
 
-    factory = resolve_workload(params["workload"])
+    factory = WORKLOADS[params["workload"]]
     point = run_point(
         factory,
         params["processors"],

@@ -23,27 +23,21 @@ freshly spawned worker processes.
 
 from __future__ import annotations
 
-from typing import Any, Callable, Dict
+import functools
+from typing import Any, Callable
+
+from ..util import Registry
 
 PointFunction = Callable[[dict], Any]
 
-_REGISTRY: Dict[str, PointFunction] = {}
+#: Point functions keyed by the experiment name specs refer to them by.
+POINT_FUNCTIONS: Registry[PointFunction] = Registry("point function")
 _BUILTINS_LOADED = False
 
 
 def point_function(name: str) -> Callable[[PointFunction], PointFunction]:
     """Register ``fn`` as the point function for ``name``."""
-
-    def decorate(fn: PointFunction) -> PointFunction:
-        if not name:
-            raise ValueError("point-function name must be non-empty")
-        existing = _REGISTRY.get(name)
-        if existing is not None and existing is not fn:
-            raise ValueError(f"point function {name!r} already registered")
-        _REGISTRY[name] = fn
-        return fn
-
-    return decorate
+    return functools.partial(POINT_FUNCTIONS.register, name)
 
 
 def _ensure_builtins() -> None:
@@ -56,19 +50,13 @@ def _ensure_builtins() -> None:
 def resolve(name: str) -> PointFunction:
     """Look up a point function, loading the built-ins if needed."""
     _ensure_builtins()
-    try:
-        return _REGISTRY[name]
-    except KeyError:
-        known = ", ".join(sorted(_REGISTRY)) or "(none)"
-        raise KeyError(
-            f"no point function named {name!r}; registered: {known}"
-        ) from None
+    return POINT_FUNCTIONS[name]
 
 
-def available() -> list[str]:
+def available() -> tuple[str, ...]:
     """Sorted names of every registered point function."""
     _ensure_builtins()
-    return sorted(_REGISTRY)
+    return POINT_FUNCTIONS.names()
 
 
 def execute(name: str, params: dict) -> Any:

@@ -14,15 +14,14 @@ from .systolic_queue import (
     SystolicQueue,
 )
 from .topology import (
+    TOPOLOGIES,
     Hop,
     OmegaTopology,
     Topology,
+    TopologyEntry,
     digits_of,
     from_digits,
     make_topology,
-    register_topology,
-    topology_names,
-    validate_topology_size,
 )
 from .wait_buffer import WaitBuffer, WaitBufferFullError, WaitRecord
 
@@ -40,7 +39,9 @@ __all__ = [
     "MultistageNetwork",
     "NetworkConfig",
     "OmegaTopology",
+    "TOPOLOGIES",
     "Topology",
+    "TopologyEntry",
     "OutstandingConflictError",
     "PACKETS_WITHOUT_DATA",
     "PACKETS_WITH_DATA",
@@ -57,7 +58,4 @@ __all__ = [
     "digits_of",
     "from_digits",
     "make_topology",
-    "register_topology",
-    "topology_names",
-    "validate_topology_size",
 ]

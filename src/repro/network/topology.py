@@ -16,10 +16,10 @@ asks are factored into the :class:`Topology` protocol; any class
 answering them (see :mod:`repro.network.topologies` for a binary
 hypercube and a 2-D mesh) plugs into the generic
 :class:`~repro.network.multistage.MultistageNetwork` and therefore the
-whole machine.  Topologies register by name in :data:`TOPOLOGIES`,
-mirroring the kernel registry of :mod:`repro.core.scheduler`, so
-``MachineConfig(topology=...)`` and the CLI's ``--topology`` choices
-need no per-topology code.
+whole machine.  Topologies register by name in :data:`TOPOLOGIES`, a
+:class:`repro.util.Registry` like the kernel registry of
+:mod:`repro.core.scheduler`, so ``MachineConfig(topology=...)`` and the
+CLI's ``--topology`` choices need no per-topology code.
 
 All topology classes are pure combinatorics — no simulation state — so
 the cycle simulator, the structural tests, and the Figure 2 benchmark
@@ -31,6 +31,8 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from typing import Callable, Optional, Protocol, runtime_checkable
+
+from ..util import Registry
 
 
 def digits_of(x: int, base: int, width: int) -> list[int]:
@@ -166,7 +168,7 @@ class Topology(Protocol):
 
 
 # ----------------------------------------------------------------------
-# registry (mirrors the kernel registry in repro.core.scheduler)
+# registry
 # ----------------------------------------------------------------------
 #: (n_ports, k) -> Topology.  Factories may import lazily; the *names*
 #: and size validators must be resolvable import-free so that
@@ -176,56 +178,24 @@ TopologyFactory = Callable[[int, int], "Topology"]
 
 @dataclass(frozen=True)
 class TopologyEntry:
+    """A registered topology.  ``validate_size(n_ports, k)`` must raise
+    :class:`ValueError` naming the nearest valid sizes when ``n_ports``
+    does not fit the geometry; it runs from ``MachineConfig.validate()``
+    before any wiring exists."""
+
     factory: TopologyFactory
     validate_size: Callable[[int, int], None]
 
 
-TOPOLOGIES: dict[str, TopologyEntry] = {}
-
-
-def register_topology(
-    name: str,
-    factory: TopologyFactory,
-    *,
-    validate_size: Callable[[int, int], None],
-    replace: bool = False,
-) -> None:
-    """Register a topology under ``MachineConfig.topology=name``.
-
-    ``validate_size(n_ports, k)`` must raise :class:`ValueError` naming
-    the nearest valid sizes when ``n_ports`` does not fit the geometry;
-    it runs from ``MachineConfig.validate()`` before any wiring exists.
-    """
-    if not name or not isinstance(name, str):
-        raise ValueError(f"topology name must be a non-empty string, got {name!r}")
-    if not replace and name in TOPOLOGIES:
-        raise ValueError(
-            f"topology {name!r} is already registered; pass replace=True "
-            "to override it"
-        )
-    TOPOLOGIES[name] = TopologyEntry(factory=factory, validate_size=validate_size)
-
-
-def topology_names() -> tuple[str, ...]:
-    """Registered topology names, sorted (the ``--topology`` choices)."""
-    return tuple(sorted(TOPOLOGIES))
-
-
-def validate_topology_size(name: str, n_ports: int, k: int = 2) -> None:
-    """Raise ValueError unless ``n_ports`` fits topology ``name``."""
-    try:
-        entry = TOPOLOGIES[name]
-    except KeyError:
-        raise ValueError(
-            f"unknown topology {name!r}; choose from {sorted(TOPOLOGIES)}"
-        ) from None
-    entry.validate_size(n_ports, k)
+#: Topologies keyed by the ``MachineConfig.topology`` string.
+TOPOLOGIES: Registry[TopologyEntry] = Registry("topology")
 
 
 def make_topology(name: str, n_ports: int, k: int = 2) -> "Topology":
     """Build a registered topology, validating the size first."""
-    validate_topology_size(name, n_ports, k)
-    return TOPOLOGIES[name].factory(n_ports, k)
+    entry = TOPOLOGIES[name]
+    entry.validate_size(n_ports, k)
+    return entry.factory(n_ports, k)
 
 
 class OmegaTopology:
@@ -486,10 +456,6 @@ def _make_mesh(n_ports: int, k: int) -> "Topology":
     return MeshTopology(n_ports)
 
 
-register_topology(
-    "omega",
-    lambda n_ports, k: OmegaTopology(n_ports, k),
-    validate_size=_validate_omega_size,
-)
-register_topology("hypercube", _make_hypercube, validate_size=_validate_hypercube_size)
-register_topology("mesh", _make_mesh, validate_size=_validate_mesh_size)
+TOPOLOGIES.register("omega", TopologyEntry(OmegaTopology, _validate_omega_size))
+TOPOLOGIES.register("hypercube", TopologyEntry(_make_hypercube, _validate_hypercube_size))
+TOPOLOGIES.register("mesh", TopologyEntry(_make_mesh, _validate_mesh_size))

@@ -61,6 +61,8 @@ from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Any, Iterable, Optional
 
+from ..util import atomic_write_text
+
 #: Schema tag written into every flight dump.
 DUMP_SCHEMA = "repro.fleet.dump/1"
 
@@ -320,8 +322,6 @@ def flight_dump(
     The payload is self-describing (:data:`DUMP_SCHEMA`) so ``repro
     fleet dump`` and CI's schema check need no side channel.
     """
-    directory = Path(directory)
-    directory.mkdir(parents=True, exist_ok=True)
     ordered = sorted(events, key=lambda e: e.ts)[-max(0, limit):]
     payload: dict[str, Any] = {
         "schema": DUMP_SCHEMA,
@@ -332,11 +332,8 @@ def flight_dump(
     }
     if extra:
         payload.update(extra)
-    path = directory / f"crash-{reason}-{time.time_ns()}.json"
-    tmp = path.with_name(path.name + ".tmp")
-    with open(tmp, "w", encoding="utf-8") as fh:
-        json.dump(payload, fh, sort_keys=True)
-    os.replace(tmp, path)
+    path = Path(directory) / f"crash-{reason}-{time.time_ns()}.json"
+    atomic_write_text(path, json.dumps(payload, sort_keys=True))
     return path
 
 

@@ -20,10 +20,10 @@ import hypothesis.strategies as st
 
 from repro.core.machine import MachineConfig, Ultracomputer
 from repro.core.memory_ops import FetchAdd, Load, Store
-from repro.network.topology import topology_names
+from repro.network.topology import TOPOLOGIES
 
 #: every registered fabric (4 and 16 PEs are valid sizes for all of them)
-TOPOLOGIES = st.sampled_from(topology_names())
+TOPOLOGY_NAMES = st.sampled_from(TOPOLOGIES.names())
 
 
 def _program(pe_id, rounds, seed):
@@ -70,7 +70,7 @@ class TestStateRoundTrip:
         seed=st.integers(min_value=0, max_value=2**16),
         cycles=st.integers(min_value=0, max_value=120),
         copies=st.sampled_from([1, 2]),
-        topology=TOPOLOGIES,
+        topology=TOPOLOGY_NAMES,
     )
     def test_arrays_match_objects_at_any_cut(
         self, n_pes, seed, cycles, copies, topology
@@ -90,7 +90,7 @@ class TestStateRoundTrip:
     @given(
         seed=st.integers(min_value=0, max_value=2**16),
         queue_capacity=st.sampled_from([4, 6]),
-        topology=TOPOLOGIES,
+        topology=TOPOLOGY_NAMES,
     )
     def test_round_trip_with_finite_queues(
         self, seed, queue_capacity, topology
@@ -113,7 +113,7 @@ class TestStateRoundTrip:
             _assert_mirror_matches_rebuild(state)
 
     def test_arrays_empty_after_quiescent_run(self):
-        for topology in topology_names():
+        for topology in TOPOLOGIES.names():
             machine = Ultracomputer(
                 MachineConfig(n_pes=16, kernel="batch", topology=topology)
             )

@@ -3,7 +3,7 @@
 import pytest
 
 from repro import FetchAdd, MachineConfig, Ultracomputer
-from repro.network.topology import topology_names
+from repro.network.topology import TOPOLOGIES
 
 
 def test_valid_config_passes():
@@ -55,7 +55,7 @@ class TestTopology:
         MachineConfig(n_pes=9, topology="mesh").validate()
 
     def test_batch_kernel_runs_every_topology(self):
-        for name in topology_names():
+        for name in TOPOLOGIES.names():
             config = MachineConfig(n_pes=16, topology=name, kernel="batch")
             config.validate()
             machine = Ultracomputer(config)

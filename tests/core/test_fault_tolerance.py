@@ -26,16 +26,18 @@ class TestFailover:
         assert routed[0] == 0  # nothing touched the failed copy
         assert routed[1] > 0
 
-    def test_failover_mid_run(self):
+    @staticmethod
+    def _failover_mid_run(kernel):
         """Drain, fail a copy, keep computing: correctness unaffected."""
-        machine = Ultracomputer(MachineConfig(n_pes=8, copies=2))
+        machine = Ultracomputer(MachineConfig(n_pes=8, copies=2, kernel=kernel))
         machine.spawn_many(8, counter_program, 3)
         machine.run()
         assert machine.peek(0) == 24
         machine.fail_network_copy(1)
         machine.spawn_many(0, counter_program, 0)  # no-op; reuse machine
         machine.programs.spawn_many(0, counter_program, 0)
-        # run a second wave of programs on fresh drivers
+        # Run a second wave on an extra ProgramDriver: it has no wake
+        # contract, so the batch kernel ticks it every cycle.
         from repro.core.machine import ProgramDriver
 
         second = ProgramDriver(machine)
@@ -43,6 +45,11 @@ class TestFailover:
         second.spawn_many(8, counter_program, 3)
         machine.run()
         assert machine.peek(0) == 48
+        return machine.stats().to_dict()
+
+    @pytest.mark.parametrize("kernel", ["dense", "batch"])
+    def test_failover_mid_run(self, kernel):
+        assert self._failover_mid_run(kernel) == self._failover_mid_run("dense")
 
     def test_cannot_fail_last_copy(self):
         machine = Ultracomputer(MachineConfig(n_pes=8, copies=1))

@@ -7,12 +7,7 @@ import pytest
 from repro.core.machine import MachineConfig, Ultracomputer
 from repro.core.memory_ops import FetchAdd, Load
 from repro.core.batch_kernel import BatchKernel
-from repro.core.scheduler import (
-    KERNELS,
-    DenseKernel,
-    kernel_names,
-    make_kernel,
-)
+from repro.core.scheduler import DenseKernel
 from repro.memory.module import MemoryModule
 from repro.network.interfaces import MNI
 from repro.network.message import Message
@@ -32,18 +27,9 @@ class TestSelection:
         assert isinstance(machine.kernel, BatchKernel)
         assert machine.kernel.name == "batch"
 
-    def test_registry_contents(self):
-        assert set(KERNELS) == {"batch", "dense"}
-        assert kernel_names() == ("batch", "dense")
-
     def test_unknown_kernel_rejected_by_config(self):
         with pytest.raises(ValueError, match="unknown kernel"):
             Ultracomputer(MachineConfig(n_pes=4, kernel="sparse"))
-
-    def test_make_kernel_rejects_unknown_name(self):
-        machine = Ultracomputer(MachineConfig(n_pes=4))
-        with pytest.raises(ValueError, match="unknown kernel"):
-            make_kernel("warp", machine)
 
 
 def _drained(machine) -> bool:

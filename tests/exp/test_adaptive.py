@@ -7,12 +7,11 @@ import math
 import pytest
 
 from repro.exp import (
+    ADAPTIVE_PROFILES,
     AdaptiveProfile,
     AdaptiveSampler,
     ExperimentSpec,
     SweepAxis,
-    adaptive_profile,
-    adaptive_profiles,
     point_function,
     serial_runner,
 )
@@ -70,13 +69,9 @@ class TestValidation:
         with pytest.raises(ValueError, match="adaptivetest.surface"):
             sampler().run(spec)
 
-    def test_unknown_experiment_has_no_profile(self):
-        with pytest.raises(KeyError, match="no adaptive profile"):
-            adaptive_profile("no.such.experiment")
-
     def test_builtin_profiles_cover_figure7(self):
-        assert "fig7.cross_topology" in adaptive_profiles()
-        assert "fig7.simulated" in adaptive_profiles()
+        assert "fig7.cross_topology" in ADAPTIVE_PROFILES
+        assert "fig7.simulated" in ADAPTIVE_PROFILES
 
 
 class TestConstantBias:

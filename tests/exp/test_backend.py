@@ -14,15 +14,14 @@ from repro.exp import (
     serial_runner,
 )
 from repro.exp.backend import (
+    BACKENDS,
     ExecutionBackend,
     PoolBackend,
     SerialBackend,
     ShardedBackend,
     ShardedSweepError,
     WorkerCrashError,
-    backend_names,
     make_backend,
-    register_backend,
     _shard_of,
 )
 
@@ -49,7 +48,7 @@ def echo_tasks(n=6):
 
 class TestRegistry:
     def test_builtin_backends_registered(self):
-        assert {"serial", "pool", "sharded"} <= set(backend_names())
+        assert {"serial", "pool", "sharded"} <= set(BACKENDS.names())
 
     def test_make_backend_unknown_name(self):
         with pytest.raises(KeyError, match="no-such-backend"):
@@ -62,25 +61,18 @@ class TestRegistry:
         assert isinstance(sharded, ShardedBackend)
         assert sharded.workers == 2
 
-    def test_custom_backend_registration(self):
+    def test_custom_backend_registration(self, monkeypatch):
         class Custom(ExecutionBackend):
             name = "custom-test"
 
             def __init__(self, **_):
                 pass
 
-        register_backend("custom-test", Custom)
-        try:
-            assert "custom-test" in backend_names()
-            assert isinstance(make_backend("custom-test"), Custom)
-        finally:
-            from repro.exp import backend as backend_module
-
-            del backend_module._BACKENDS["custom-test"]
-
-    def test_empty_name_rejected(self):
-        with pytest.raises(ValueError):
-            register_backend("", SerialBackend)
+        # A private copy of the entries, restored after the test.
+        monkeypatch.setattr(BACKENDS, "_entries", dict(BACKENDS._entries))
+        BACKENDS.register("custom-test", Custom)
+        assert "custom-test" in BACKENDS.names()
+        assert isinstance(make_backend("custom-test"), Custom)
 
     def test_shard_placement_is_stable_and_bounded(self):
         key = "deadbeef" + "0" * 56

@@ -37,10 +37,11 @@ N_POINTS = 10
 SLEEP_S = 0.3
 
 DRIVER_SCRIPT = """\
+import json
 import sys
 from repro.exp import ExperimentSpec, ResultCache, SweepAxis, SweepRunner
 
-cache_dir, backend = sys.argv[1], sys.argv[2]
+cache_dir, backend, pid_file = sys.argv[1], sys.argv[2], sys.argv[3]
 spec = ExperimentSpec(
     experiment="debug.sleep",
     base={"seconds": %(sleep)r},
@@ -50,6 +51,10 @@ spec = ExperimentSpec(
 runner = SweepRunner(
     workers=2, cache=ResultCache(cache_dir), backend=backend, shards=2
 )
+if backend == "pool":
+    runner.backend.start()  # fork every worker now, to record their pids
+    with open(pid_file, "w") as fh:
+        json.dump(sorted(runner.backend._executor._processes), fh)
 runner.run(spec)
 """ % {"sleep": SLEEP_S, "points": N_POINTS}
 
@@ -67,12 +72,14 @@ def canonical(result) -> str:
     return json.dumps(result.to_dict()["results"], sort_keys=True)
 
 
-def _spawn_driver(cache_dir: Path, backend: str, shard_root: Path):
+def _spawn_driver(cache_dir: Path, backend: str, shard_root: Path,
+                  pid_file: Path = Path(os.devnull)):
     env = dict(os.environ)
     env["PYTHONPATH"] = str(REPO_ROOT / "src")
     env["REPRO_EXP_SHARDS"] = str(shard_root)
     return subprocess.Popen(
-        [sys.executable, "-c", DRIVER_SCRIPT, str(cache_dir), backend],
+        [sys.executable, "-c", DRIVER_SCRIPT, str(cache_dir), backend,
+         str(pid_file)],
         env=env,
         cwd=REPO_ROOT,
         stdout=subprocess.DEVNULL,
@@ -90,12 +97,25 @@ def _wait_for_cache_entry(cache_dir: Path, timeout: float = 60.0) -> int:
     raise AssertionError("driver produced no cache entry before timeout")
 
 
+def _alive(pid: int) -> bool:
+    try:
+        os.kill(pid, 0)
+    except ProcessLookupError:
+        return False
+    try:  # an exited but unreaped orphan (a zombie) counts as gone
+        stat = Path(f"/proc/{pid}/stat").read_text()
+    except OSError:
+        return True
+    return stat.rsplit(")", 1)[1].split()[0] != "Z"
+
+
 @pytest.mark.parametrize("backend", ["pool", "sharded"])
 def test_sigkill_mid_sweep_resumes_from_cache(tmp_path, backend):
     cache_dir = tmp_path / "cache"
     shard_root = tmp_path / "shards"
+    pid_file = tmp_path / "workers.json"
 
-    driver = _spawn_driver(cache_dir, backend, shard_root)
+    driver = _spawn_driver(cache_dir, backend, shard_root, pid_file)
     try:
         _wait_for_cache_entry(cache_dir)
         os.kill(driver.pid, signal.SIGKILL)
@@ -105,6 +125,16 @@ def test_sigkill_mid_sweep_resumes_from_cache(tmp_path, backend):
             driver.kill()
             driver.wait(timeout=30)
     assert driver.returncode == -signal.SIGKILL
+
+    if backend == "pool":
+        # The killed driver's pool workers notice and exit on their own
+        # (sharded workers keep draining the queue on purpose).
+        workers = json.loads(pid_file.read_text())
+        assert len(workers) == 2
+        deadline = time.monotonic() + 5.0
+        while any(map(_alive, workers)) and time.monotonic() < deadline:
+            time.sleep(0.05)
+        assert not [pid for pid in workers if _alive(pid)]
 
     # Restart over the same cache (and, for sharded, the same shard
     # root — the batch directory left behind must be re-adopted, not

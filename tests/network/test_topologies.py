@@ -2,8 +2,8 @@
 
 Three groups of guarantees:
 
-* the registry (`make_topology` & co.) resolves names, validates sizes
-  with actionable messages, and rejects duplicates;
+* the registry (`TOPOLOGIES`, `make_topology`) resolves names and
+  validates sizes with actionable messages;
 * the hypercube and mesh satisfy the wiring contract the simulator
   relies on — deterministic routes, amalgam-reversible paths,
   reply-entry consistency, exact structural facts;
@@ -23,10 +23,8 @@ from repro.network import (
     MeshTopology,
     OmegaTopology,
     Topology,
+    TOPOLOGIES,
     make_topology,
-    register_topology,
-    topology_names,
-    validate_topology_size,
 )
 
 ALL_NAMES = ("omega", "hypercube", "mesh")
@@ -41,32 +39,18 @@ def build(name: str, n: int):
 # ----------------------------------------------------------------------
 class TestRegistry:
     def test_builtins_registered(self):
-        assert set(ALL_NAMES) <= set(topology_names())
+        assert set(ALL_NAMES) <= set(TOPOLOGIES.names())
 
     def test_make_topology_builds_the_right_class(self):
         assert isinstance(build("omega", 16), OmegaTopology)
         assert isinstance(build("hypercube", 16), HypercubeTopology)
         assert isinstance(build("mesh", 16), MeshTopology)
 
-    def test_unknown_name_lists_choices(self):
-        with pytest.raises(ValueError, match="omega"):
-            make_topology("torus", 16, 2)
-        with pytest.raises(ValueError, match="unknown topology"):
-            validate_topology_size("torus", 16)
-
     def test_invalid_size_raises_before_building(self):
         with pytest.raises(ValueError, match="nearest valid sizes"):
             make_topology("hypercube", 100, 2)
         with pytest.raises(ValueError, match="nearest valid sizes"):
             make_topology("mesh", 108, 2)
-
-    def test_duplicate_registration_rejected(self):
-        with pytest.raises(ValueError, match="already registered"):
-            register_topology(
-                "omega",
-                lambda n, k: OmegaTopology(n, k),
-                validate_size=lambda n, k: None,
-            )
 
     def test_protocol_conformance(self):
         for name in ALL_NAMES:
